@@ -21,7 +21,7 @@ _PARALLEL_TOL = 1e-12
 class DacgState:
     """Iterate, gradient and direction data for one pair's minimization."""
 
-    __slots__ = ("x", "ax", "q", "grad", "p", "beta", "iterations")
+    __slots__ = ("x", "ax", "q", "grad", "p", "iterations")
 
     def __init__(self, x, ax):
         self.x = x
@@ -29,7 +29,6 @@ class DacgState:
         self.q = float(x @ ax)
         self.grad = 2.0 * (ax - self.q * x)
         self.p = None
-        self.beta = 0.0
         self.iterations = 0
 
 
@@ -228,7 +227,6 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None,
             state.x, state.ax, state.q = x_new, ax_new, q_new
             state.grad = 2.0 * (ax_new - q_new * x_new)
             state.p = p
-            state.beta = beta
             state.iterations += 1
             since_reset += 1
         if accepted is None:

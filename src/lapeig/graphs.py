@@ -7,10 +7,13 @@ stored nonzero count is n + 2m.
 """
 
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components as _scipy_components
 
 from .sparse import CsrMatrix
 
@@ -30,7 +33,7 @@ class EdgeList:
 
     Edges are held as three aligned arrays (i, j, w) with i < j, sorted
     lexicographically.  Construction validates index ranges, rejects
-    self-loops, nonpositive weights and duplicate pairs.
+    self-loops, non-finite or nonpositive weights and duplicate pairs.
     """
 
     __slots__ = ("n_nodes", "i", "j", "w")
@@ -50,6 +53,10 @@ class EdgeList:
             if np.any(i == j):
                 k = int(np.flatnonzero(i == j)[0])
                 raise ValueError(f"self-loop at node {i[k]}")
+            bad = ~np.isfinite(w)
+            if np.any(bad):
+                k = int(np.flatnonzero(bad)[0])
+                raise ValueError(f"non-finite weight {w[k]} on edge ({i[k]}, {j[k]})")
             if np.any(w <= 0):
                 k = int(np.flatnonzero(w <= 0)[0])
                 raise ValueError(f"nonpositive weight {w[k]} on edge ({i[k]}, {j[k]})")
@@ -152,6 +159,8 @@ def _parse_edge_list(lines_iter, symmetrize):
             raise GraphFormatError(f"node index out of range in {text!r}", lineno)
         if a == b:
             raise GraphFormatError(f"self-loop at node {a}", lineno)
+        if not math.isfinite(wt):
+            raise GraphFormatError(f"non-finite weight {wt}", lineno)
         if not wt > 0:
             raise GraphFormatError(f"nonpositive weight {wt}", lineno)
         raw.append((a, b, wt))
@@ -212,6 +221,8 @@ def _parse_matrix_market(lines_iter, symmetrize):
         count += 1
         if not (1 <= a <= size[0] and 1 <= b <= size[0]):
             raise GraphFormatError(f"index out of range in {text!r}", lineno)
+        if not math.isfinite(wt):
+            raise GraphFormatError(f"non-finite value {wt}", lineno)
         if a == b:
             continue  # diagonal of an adjacency-style matrix carries no edge
         wt = abs(wt)
@@ -263,40 +274,20 @@ def build_laplacian(g):
     return CsrMatrix.from_coo(n, rows, cols, vals, symmetric=True)
 
 
-def _adjacency_index(n, i, j):
-    """CSR-style neighbor index over undirected pairs."""
-    heads = np.concatenate([i, j])
-    tails = np.concatenate([j, i])
-    order = np.argsort(heads, kind="stable")
-    heads, tails = heads[order], tails[order]
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(ptr, heads + 1, 1)
-    np.cumsum(ptr, out=ptr)
-    return ptr, tails
-
-
 def connected_components(g):
     """(count, labels) with labels[v] the 0-based component id of v.
 
     Components are numbered by their smallest node, so labels[0] == 0.
     """
     n = g.n_nodes
-    ptr, nbr = _adjacency_index(n, g.i, g.j)
-    labels = np.full(n, -1, dtype=np.int64)
-    comp = 0
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        labels[start] = comp
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in nbr[ptr[v] : ptr[v + 1]]:
-                if labels[u] < 0:
-                    labels[u] = comp
-                    stack.append(u)
-        comp += 1
-    return comp, labels
+    return _labelled_components(coo_array((g.w, (g.i, g.j)), shape=(n, n)))
+
+
+def _labelled_components(adjacency):
+    # scipy's undirected search starts a new component at each unlabelled
+    # node in index order, which numbers components by their smallest node
+    count, labels = _scipy_components(adjacency, directed=False)
+    return int(count), labels.astype(np.int64)
 
 
 def largest_component(g):
@@ -325,37 +316,18 @@ def stats(g):
 
 def csr_connected_components(a):
     """Component count and labels from the off-diagonal pattern of a CsrMatrix."""
-    n = a.n
-    labels = np.full(n, -1, dtype=np.int64)
-    comp = 0
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        labels[start] = comp
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            cols, _ = a.row(v)
-            for u in cols:
-                if labels[u] < 0:
-                    labels[u] = comp
-                    stack.append(u)
-        comp += 1
-    return comp, labels
+    return _labelled_components(a.csr)
 
 
 def write_matrix_market(a, stream=None):
     """Serialize a symmetric CsrMatrix in coordinate format (lower triangle)."""
     own = stream is None
     out = io.StringIO() if own else stream
-    mask = []
-    for i in range(a.n):
-        cols, vals = a.row(i)
-        for c, v in zip(cols, vals):
-            if c <= i:
-                mask.append((i + 1, c + 1, v))
+    rows = np.repeat(np.arange(a.n), np.diff(a.row_ptr))
+    lower = a.col_idx <= rows
     out.write("%%MatrixMarket matrix coordinate real symmetric\n")
-    out.write(f"{a.n} {a.n} {len(mask)}\n")
-    for i, j, v in mask:
-        out.write(f"{i} {j} {float(v)!r}\n")
+    out.write(f"{a.n} {a.n} {int(lower.sum())}\n")
+    for i, j, v in zip((rows[lower] + 1).tolist(), (a.col_idx[lower] + 1).tolist(),
+                       a.values[lower].tolist()):
+        out.write(f"{i} {j} {v!r}\n")
     return out.getvalue() if own else None

@@ -7,7 +7,6 @@ escalating alpha whenever a pivot collapses.
 """
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu
 
 from .sparse import CsrMatrix
@@ -33,9 +32,8 @@ class Ic0Factor:
         self.l = l
         self.shift = float(shift)
         self.attempts = int(attempts)
-        lcsc = csr_matrix((l.values, l.col_idx, l.row_ptr), shape=(l.n, l.n)).tocsc()
         # natural ordering with pivoting suppressed keeps the factor triangular
-        self._lu = splu(lcsc, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        self._lu = splu(l.csr.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
 
     def apply(self, r):
         r = np.asarray(r, dtype=np.float64)
@@ -134,11 +132,6 @@ def _rows_to_csr(n, rows):
 def identity_factor(n):
     """Factor whose application is the identity, for unpreconditioned runs."""
     return Ic0Factor(CsrMatrix.identity(n), 0.0, 0)
-
-
-def precond_apply(f, r):
-    """z = (L L^T)^{-1} r."""
-    return f.apply(r)
 
 
 def projected_precond_apply(f, q, r):

@@ -1,15 +1,15 @@
 """Small dense kernels shared by the sparse eigensolvers.
 
 Contains modified Gram-Schmidt with conditional reorthogonalization and
-a self-contained symmetric eigensolver (Householder reduction to
-tridiagonal form followed by implicit QL with Wilkinson shifts).  The
-dense solver is only ever applied to projected matrices of modest size,
-so the dimension is capped.
+the symmetric eigensolvers for projected matrices: LAPACK through
+numpy.linalg.eigh for dense ones and scipy.linalg.eigh_tridiagonal for
+tridiagonal ones.  The dense solver is only ever applied to projected
+matrices of modest size, so the dimension is capped.
 """
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
-_EPS = np.finfo(np.float64).eps
 _REORTH_FACTOR = 0.7
 _BREAKDOWN_REL = 1e-14
 DENSE_EIG_MAX_DIM = 512
@@ -55,129 +55,6 @@ def mgs_orthonormalize(v, basis):
     return v / norm_out, norm_out
 
 
-def _tred2(a):
-    """Householder reduction of symmetric a to tridiagonal form.
-
-    Returns (d, e, q): diagonal, couplings (e[i] pairs d[i] and d[i+1],
-    e[-1] is zero) and the orthogonal accumulation q, satisfying
-    q @ T @ q.T == a.  The input array is consumed as workspace.
-    """
-    n = a.shape[0]
-    v = a
-    d = v[n - 1].copy()
-    e = np.zeros(n)
-    for i in range(n - 1, 0, -1):
-        scale = float(np.abs(d[:i]).sum())
-        if scale == 0.0:
-            e[i] = d[i - 1]
-            d[:i] = v[i - 1, :i]
-            v[i, :i] = 0.0
-            v[:i, i] = 0.0
-            h = 0.0
-        else:
-            u = d[:i] / scale
-            h = float(u @ u)
-            f = u[i - 1]
-            g = -np.sqrt(h) if f > 0 else np.sqrt(h)
-            e[i] = scale * g
-            h -= f * g
-            u[i - 1] = f - g
-            p = (v[:i, :i] @ u) / h
-            k = float(u @ p) / (2.0 * h)
-            p -= k * u
-            v[:i, :i] -= np.outer(u, p) + np.outer(p, u)
-            v[:i, i] = u  # stash the Householder vector in column i
-            d[:i] = v[i - 1, :i]
-            v[i, :i] = 0.0
-        d[i] = h
-    d[0] = 0.0
-    e[0] = 0.0
-    # accumulate the stored reflectors into an explicit orthogonal matrix
-    for i in range(n - 1):
-        v[n - 1, i] = v[i, i]
-        v[i, i] = 1.0
-        h = d[i + 1]
-        if h != 0.0:
-            u = v[: i + 1, i + 1] / h
-            g = v[: i + 1, i + 1] @ v[: i + 1, : i + 1]
-            v[: i + 1, : i + 1] -= np.outer(u, g)
-        v[: i + 1, i + 1] = 0.0
-    d[:] = v[n - 1, :]
-    v[n - 1, :] = 0.0
-    v[n - 1, n - 1] = 1.0
-    e[: n - 1] = e[1:]
-    e[n - 1] = 0.0
-    return d, e, v
-
-
-def _tql2(d, e, z):
-    """Implicit QL with Wilkinson shifts on a symmetric tridiagonal.
-
-    d holds the diagonal, e[i] the coupling of d[i] and d[i+1] (e[-1]
-    must be zero).  Rotations accumulate into the columns of z.  All
-    arrays are updated in place; on return d holds the eigenvalues in
-    no particular order.
-    """
-    n = d.shape[0]
-    if n == 1:
-        return
-    f = 0.0
-    tst1 = 0.0
-    for l in range(n):
-        tst1 = max(tst1, abs(d[l]) + abs(e[l]))
-        m = l
-        while m < n - 1:
-            if abs(e[m]) <= _EPS * tst1:
-                break
-            m += 1
-        if m > l:
-            it = 0
-            while True:
-                it += 1
-                if it > 60:
-                    raise RuntimeError("tridiagonal QL failed to converge")
-                g = d[l]
-                p = (d[l + 1] - g) / (2.0 * e[l])
-                r = float(np.hypot(p, 1.0))
-                if p < 0:
-                    r = -r
-                d[l] = e[l] / (p + r)
-                d[l + 1] = e[l] * (p + r)
-                dl1 = d[l + 1]
-                h = g - d[l]
-                d[l + 2 : n] -= h
-                f += h
-                p = d[m]
-                c = 1.0
-                c2 = c
-                c3 = c
-                el1 = e[l + 1]
-                s = 0.0
-                s2 = 0.0
-                for i in range(m - 1, l - 1, -1):
-                    c3 = c2
-                    c2 = c
-                    s2 = s
-                    g = c * e[i]
-                    h = c * p
-                    r = float(np.hypot(p, e[i]))
-                    e[i + 1] = s * r
-                    s = e[i] / r
-                    c = p / r
-                    p = c * d[i] - s * g
-                    d[i + 1] = h + s * (c * g + s * d[i])
-                    col = z[:, i + 1].copy()
-                    z[:, i + 1] = s * z[:, i] + c * col
-                    z[:, i] = c * z[:, i] - s * col
-                p = -s * s2 * c3 * el1 * e[l] / dl1
-                e[l] = s * p
-                d[l] = c * p
-                if abs(e[l]) <= _EPS * tst1:
-                    break
-        d[l] += f
-        e[l] = 0.0
-
-
 def tridiag_eig(alpha, beta):
     """Eigendecomposition of a symmetric tridiagonal matrix.
 
@@ -192,13 +69,7 @@ def tridiag_eig(alpha, beta):
         raise ValueError("empty tridiagonal")
     if beta.shape[0] != m - 1:
         raise ValueError("beta must be one entry shorter than alpha")
-    d = alpha.copy()
-    e = np.zeros(m)
-    e[: m - 1] = beta
-    z = np.eye(m)
-    _tql2(d, e, z)
-    order = np.argsort(d, kind="stable")
-    return d[order], z[:, order]
+    return eigh_tridiagonal(alpha, beta)
 
 
 def dense_sym_eig(h, max_dim=DENSE_EIG_MAX_DIM):
@@ -218,9 +89,4 @@ def dense_sym_eig(h, max_dim=DENSE_EIG_MAX_DIM):
     scale = max(1.0, float(np.abs(h).max()))
     if float(np.abs(h - h.T).max()) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric to 1e-12 relative")
-    if n == 1:
-        return np.array([h[0, 0]]), np.ones((1, 1))
-    d, e, q = _tred2(0.5 * (h + h.T))
-    _tql2(d, e, q)
-    order = np.argsort(d, kind="stable")
-    return d[order], q[:, order]
+    return np.linalg.eigh(0.5 * (h + h.T))

@@ -1,11 +1,14 @@
 """Compressed sparse row matrices and the counted matrix-vector product.
 
-Every solver in this package charges its work to matrix-vector products
-with the operator, so the product is funneled through a single function
-that ticks a shared counter.
+CsrMatrix validates and freezes its CSR arrays and wraps them, without a
+copy, in a scipy.sparse.csr_array that does the arithmetic.  Every
+solver in this package charges its work to matrix-vector products with
+the operator, so the product is funneled through a single function,
+spmv, that ticks a shared counter.
 """
 
 import numpy as np
+from scipy.sparse import csr_array
 
 
 class MvpCounter:
@@ -29,10 +32,11 @@ class CsrMatrix:
     Arrays are validated on construction and frozen afterwards: row_ptr
     must be a nondecreasing array of length n + 1 starting at 0, column
     indices must lie in [0, n) and be strictly increasing inside each
-    row (which also rules out duplicate entries).
+    row (which also rules out duplicate entries).  The csr attribute is
+    a scipy.sparse.csr_array sharing those arrays.
     """
 
-    __slots__ = ("n", "row_ptr", "col_idx", "values", "symmetric", "_rows_nonempty")
+    __slots__ = ("n", "row_ptr", "col_idx", "values", "symmetric", "csr")
 
     def __init__(self, n, row_ptr, col_idx, values, symmetric=False):
         n = int(n)
@@ -65,9 +69,9 @@ class CsrMatrix:
         self.col_idx = col_idx
         self.values = values
         self.symmetric = bool(symmetric)
-        self._rows_nonempty = np.flatnonzero(np.diff(row_ptr) > 0)
-        for arr in (self.row_ptr, self.col_idx, self.values, self._rows_nonempty):
+        for arr in (self.row_ptr, self.col_idx, self.values):
             arr.setflags(write=False)
+        self.csr = csr_array((values, col_idx, row_ptr), shape=(n, n))
 
     @property
     def nnz(self):
@@ -100,13 +104,7 @@ class CsrMatrix:
         return cls(n, np.arange(n + 1), np.arange(n), np.ones(n), symmetric=True)
 
     def diagonal(self):
-        d = np.zeros(self.n)
-        for i in self._rows_nonempty:
-            lo, hi = self.row_ptr[i], self.row_ptr[i + 1]
-            k = np.searchsorted(self.col_idx[lo:hi], i)
-            if k < hi - lo and self.col_idx[lo + k] == i:
-                d[i] = self.values[lo + k]
-        return d
+        return self.csr.diagonal()
 
     def row(self, i):
         """Column indices and values of row i (views, do not mutate)."""
@@ -114,15 +112,10 @@ class CsrMatrix:
         return self.col_idx[lo:hi], self.values[lo:hi]
 
     def toarray(self):
-        out = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            cols, vals = self.row(i)
-            out[i, cols] = vals
-        return out
+        return self.csr.toarray()
 
     def symmetry_defect(self):
-        a = self.toarray()
-        return float(np.abs(a - a.T).max()) if self.n else 0.0
+        return float(abs(self.csr - self.csr.T).max()) if self.n else 0.0
 
 
 def spmv(a, x, counter=None):
@@ -132,8 +125,4 @@ def spmv(a, x, counter=None):
         raise ValueError(f"vector length {x.shape} does not match matrix dimension {a.n}")
     if counter is not None:
         counter.increment()
-    y = np.zeros(a.n)
-    nz = a._rows_nonempty
-    if nz.size:
-        y[nz] = np.add.reduceat(a.values * x[a.col_idx], a.row_ptr[nz])
-    return y
+    return a.csr @ x

@@ -1,11 +1,14 @@
 """Tests for the benchmark runner, report formats and the CLI."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lapeig
 from lapeig.bench import (
     CSV_COLUMNS,
     RunConfig,
@@ -233,6 +236,18 @@ class TestCliMain:
         assert code == 3
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt,text,line", [
+        ("edgelist", "3\n0 1 inf\n1 2 1.0\n", 2),
+        ("mtx", "%%MatrixMarket matrix coordinate real symmetric\n"
+                "3 3 2\n2 1 nan\n3 2 -1.0\n", 3),
+    ])
+    def test_non_finite_weight_exits_3(self, tmp_path, capsys, fmt, text, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert main(["--input", str(bad), "--format", fmt]) == 3
+        err = capsys.readouterr().err
+        assert f"line {line}: non-finite" in err
+
     def test_disconnected_exits_3_without_optin(self, tmp_path, capsys):
         g = tmp_path / "two.txt"
         g.write_text("4\n0 1 1.0\n2 3 1.0\n")
@@ -288,9 +303,14 @@ class TestCliMain:
 
     def test_console_script_runs_in_subprocess(self, tmp_path):
         path = _write_p3(tmp_path)
+        # the child imports the same lapeig as this process, installed or not
+        package_root = str(Path(lapeig.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [package_root, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "lapeig.cli", "--input", str(path),
              "--solver", "dacg", "--neig", "1"],
-            capture_output=True, text=True, timeout=60)
+            capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[2].split()[0] == "dacg"

@@ -42,6 +42,11 @@ class TestEdgeList:
         with pytest.raises(ValueError, match="out of range"):
             EdgeList(3, [0], [3], [1.0])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_weight(self, bad):
+        with pytest.raises(ValueError, match="non-finite weight"):
+            EdgeList(3, [0, 1], [1, 2], [1.0, bad])
+
     def test_from_pairs_empty(self):
         g = EdgeList.from_pairs(2, [])
         assert g.m == 0 and g.n_nodes == 2
@@ -72,6 +77,12 @@ class TestEdgeListParser:
         for blob, frag in cases:
             with pytest.raises(GraphFormatError, match=frag):
                 load_edge_list(blob)
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_non_finite_weight_reported_with_line(self, bad):
+        with pytest.raises(GraphFormatError, match="non-finite weight") as err:
+            load_edge_list(f"3\n0 1 1.0\n1 2 {bad}\n".encode())
+        assert err.value.line == 3
 
     def test_duplicate_needs_symmetrize(self):
         blob = b"3\n0 1 1.0\n1 0 4.0\n"
@@ -113,6 +124,16 @@ class TestMatrixMarketParser:
         for blob, frag in cases:
             with pytest.raises(GraphFormatError, match=frag):
                 load_edge_list(blob, format="mtx")
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("row", [2, 1])
+    def test_non_finite_value_reported_with_line(self, bad, row):
+        # diagonal entries carry no edge but still make the file malformed
+        blob = (f"%%MatrixMarket matrix coordinate real symmetric\n"
+                f"3 3 2\n2 1 -1.0\n{row} 1 {bad}\n").encode()
+        with pytest.raises(GraphFormatError, match="non-finite value") as err:
+            load_edge_list(blob, format="mtx")
+        assert err.value.line == 4
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
@@ -185,6 +206,16 @@ class TestComponents:
         l = build_laplacian(g)
         assert connected_components(g)[0] == 2
         assert csr_connected_components(l)[0] == 2
+
+    def test_components_numbered_by_smallest_node(self):
+        # three interleaved components {0, 4}, {1, 6}, {2, 3, 5}
+        g = EdgeList(7, [0, 1, 3, 5], [4, 6, 2, 2], [1.0, 2.0, 0.5, 3.0])
+        want = [0, 1, 2, 2, 0, 2, 1]
+        for count, labels in (connected_components(g),
+                              csr_connected_components(build_laplacian(g))):
+            assert count == 3
+            assert labels.dtype == np.int64
+            assert labels.tolist() == want
 
     def test_largest_component_extraction(self):
         g = EdgeList(6, [0, 1, 4], [1, 2, 5], [1.0, 2.0, 1.0])

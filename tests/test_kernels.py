@@ -57,6 +57,11 @@ class TestTridiagEig:
         assert np.abs(vecs.T @ vecs - np.eye(3)).max() <= 1e-14
         assert np.abs(t @ vecs - vecs * vals).max() <= 1e-13
 
+    def test_single_entry(self):
+        vals, vecs = tridiag_eig(np.array([-2.5]), np.zeros(0))
+        assert vals.tolist() == [-2.5]
+        assert vecs.tolist() == [[1.0]]
+
     def test_matches_numpy_on_random_tridiagonals(self, rng):
         for n in (1, 2, 7, 50):
             alpha = rng.standard_normal(n)

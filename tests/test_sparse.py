@@ -1,5 +1,7 @@
 """CSR container and matrix-vector product."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,18 @@ class TestCsrMatrix:
         assert small_csr().symmetry_defect() == 0.0
         skew = CsrMatrix.from_coo(2, [0, 1], [1, 0], [1.0, 3.0])
         assert skew.symmetry_defect() == pytest.approx(2.0)
+
+    def test_symmetry_defect_stays_sparse(self):
+        # a dense n x n copy at n = 5000 would need 200 MB
+        eye = CsrMatrix.identity(5000)
+        tracemalloc.start()
+        try:
+            defect = eye.symmetry_defect()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert defect == 0.0
+        assert peak < 10_000_000
 
     def test_arrays_are_frozen(self):
         a = small_csr()
