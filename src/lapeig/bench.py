@@ -55,7 +55,6 @@ class RunConfig:
     m_min: int = 5
     m_max: int = 10
     ncv: int | None = None
-    sigma: str = "midpoint"
     seed: int = 0
     report: str = "table"
     emit_spectrum: str | None = None

@@ -55,12 +55,6 @@ def build_parser():
                         help="jd subspace size triggering restart")
     parser.add_argument("--ncv", type=int, default=None,
                         help="irlm basis size; default scales with --neig")
-    parser.add_argument(
-        "--sigma",
-        choices=("midpoint", "lambdak"),
-        default="midpoint",
-        help="shift policy echoed for pseudoinverse post-processing",
-    )
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for every random start (reproducible counts)")
     parser.add_argument("--report", choices=("table", "csv"), default="table")
@@ -91,7 +85,6 @@ def config_from_args(args):
         m_min=args.mmin,
         m_max=args.mmax,
         ncv=args.ncv,
-        sigma=args.sigma,
         seed=args.seed,
         report=args.report,
         emit_spectrum=args.emit_spectrum,

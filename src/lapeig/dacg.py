@@ -192,8 +192,8 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None,
                 beta = float((state.grad - g_prev) @ z) / denom if denom != 0 else 0.0
                 if beta < 0.0:
                     beta = 0.0
+            # z and the previous direction are both in the complement already
             p = -z + beta * state.p if (beta != 0.0 and state.p is not None) else -z
-            p = guard.project_out(p)
             p -= (state.x @ p) * state.x
             # a collapsed direction falls back to steepest descent, then random
             retries = 0

@@ -262,12 +262,18 @@ def build_laplacian(g):
     """Weighted Laplacian L = D - A as a symmetric CsrMatrix.
 
     Every diagonal entry is stored even when zero, so nnz = n + 2m and
-    each row sums exactly to zero.
+    each row sums exactly to zero.  Raises ValueError when a weighted
+    degree overflows to a non-finite value.
     """
     n = g.n_nodes
     deg = np.zeros(n)
-    np.add.at(deg, g.i, g.w)
-    np.add.at(deg, g.j, g.w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(deg, g.i, g.w)
+        np.add.at(deg, g.j, g.w)
+    bad = np.flatnonzero(~np.isfinite(deg))
+    if bad.size:
+        raise ValueError(f"weighted degree of node {int(bad[0])} is not finite "
+                         f"({deg[bad[0]]}); edge weights are too large")
     rows = np.concatenate([g.i, g.j, np.arange(n)])
     cols = np.concatenate([g.j, g.i, np.arange(n)])
     vals = np.concatenate([-g.w, -g.w, deg])

@@ -133,11 +133,3 @@ def identity_factor(n):
     """Factor whose application is the identity, for unpreconditioned runs."""
     return Ic0Factor(CsrMatrix.identity(n), 0.0, 0)
 
-
-def projected_precond_apply(f, q, r):
-    """Preconditioner restricted to the orthogonal complement of q.
-
-    Computes P M P r where P projects out the columns held by q (any
-    object with a project_out method).
-    """
-    return q.project_out(f.apply(q.project_out(r)))

@@ -13,7 +13,8 @@ import time
 import numpy as np
 
 from .ic0 import ic0_factorize
-from .kernels import GramSchmidtBreakdown, dense_sym_eig, mgs_orthonormalize
+from .kernels import (GramSchmidtBreakdown, dense_sym_eig, mgs_orthonormalize,
+                      orthonormal_columns)
 from .pcg import DeflationBasis, kernel_basis, pcg_solve
 from .results import EigenPairSet, SolverError, SolverReport
 from .sparse import MvpCounter, spmv
@@ -40,7 +41,10 @@ def ncv_for(neig):
 class LanczosState:
     """Basis and projected matrix of the inverse-operator Lanczos process.
 
-    The basis always holds one more column than the projected matrix
+    The basis lives in one preallocated n x (ncv + 1) column-major
+    array whose first ncols columns are in use, so every
+    orthogonalization is a block step on one contiguous slice.  The
+    basis always holds one more column than the projected matrix
     covers: the trailing column is the normalized residual waiting to
     be expanded (absent right after a breakdown).  After a thick
     restart the projected matrix is arrowhead-plus-tridiagonal: retained
@@ -51,7 +55,9 @@ class LanczosState:
     def __init__(self, v1, ncv):
         v1 = np.asarray(v1, dtype=np.float64)
         self.ncv = int(ncv)
-        self.columns = [v1]
+        self.basis = np.zeros((v1.shape[0], self.ncv + 1), order="F")
+        self.basis[:, 0] = v1
+        self.ncols = 1
         self.head_vals = np.zeros(0)
         self.head_coupling = np.zeros(0)
         self.alpha = []
@@ -66,10 +72,16 @@ class LanczosState:
 
     @property
     def has_pending(self):
-        return len(self.columns) == self.m + 1
+        return self.ncols == self.m + 1
 
     def basis_matrix(self):
-        return np.column_stack(self.columns) if self.columns else np.zeros((0, 0))
+        """View of the basis columns in use."""
+        return self.basis[:, : self.ncols]
+
+    def push(self, v):
+        """Append the unit column v to the basis."""
+        self.basis[:, self.ncols] = v
+        self.ncols += 1
 
     def projected_matrix(self):
         k = self.head_vals.shape[0]
@@ -99,7 +111,7 @@ def inverse_lanczos_step(state, a, f, delta_pcg, null_basis, counter=None,
     """
     if not state.has_pending:
         raise SolverError("no pending vector to expand (breakdown not handled)")
-    v = state.columns[-1]
+    v = state.basis[:, state.ncols - 1]
 
     def op(x, c):
         return spmv(a, x, c)
@@ -116,26 +128,23 @@ def inverse_lanczos_step(state, a, f, delta_pcg, null_basis, counter=None,
     scale = max(1.0, float(np.linalg.norm(w)))
     alpha_j = float(w @ v)
     w = w - alpha_j * v
-    tail_len = len(state.alpha)
-    if tail_len == 0:
-        k = state.head_vals.shape[0]
-        if k:
-            head = np.column_stack(state.columns[:k])
-            w -= head @ state.head_coupling
-    else:
-        w -= state.beta[-1] * state.columns[-2]
-    # full reorthogonalization, two sweeps over kernel and basis
+    k = state.head_vals.shape[0]
+    if state.alpha:
+        w -= state.beta[-1] * state.basis[:, state.ncols - 2]
+    elif k:
+        w -= state.basis[:, :k] @ state.head_coupling
+    # full reorthogonalization, two block sweeps over kernel and basis
+    vmat = state.basis_matrix()
     for _ in range(2):
         w = null_basis.project_out(w)
-        for col in state.columns:
-            w -= (col @ w) * col
+        w -= vmat @ (vmat.T @ w)
     b = float(np.linalg.norm(w))
     state.alpha.append(alpha_j)
     if b < _BREAKDOWN_ABS * scale:
         state.breakdown = True
     else:
         state.beta.append(b)
-        state.columns.append(w / b)
+        state.push(w / b)
     return state
 
 
@@ -157,7 +166,7 @@ def _check_convergence(state, a, neig, delta, counter):
     if m < neig:
         return None, 0
     mu, y = _sorted_ritz(state)
-    vmat = np.column_stack(state.columns[:m])
+    vmat = state.basis[:, :m]
     thetas = np.zeros(neig)
     resids = np.zeros(neig)
     vecs = np.zeros((vmat.shape[0], neig))
@@ -186,23 +195,17 @@ def _thick_restart(state, neig, null_basis):
     m = state.m
     keep = min(neig + 1, m - 1)
     mu, y = _sorted_ritz(state)
-    vmat = np.column_stack(state.columns[:m])
-    heads = vmat @ y[:, :keep]
-    cols = []
-    for idx in range(keep):
-        block = np.column_stack([null_basis.columns] + cols) if (
-            null_basis.k or cols) else np.zeros((heads.shape[0], 0))
-        v, _ = mgs_orthonormalize(heads[:, idx], block)
-        cols.append(v)
-    residual = state.columns[-1]
-    residual = null_basis.project_out(residual)
-    for col in cols:
-        residual -= (col @ residual) * col
+    heads = null_basis.project_out(state.basis[:, :m] @ y[:, :keep])
+    q = orthonormal_columns(heads)
+    residual = null_basis.project_out(state.basis[:, m])
+    residual -= q @ (q.T @ residual)
     residual /= np.linalg.norm(residual)
     coupling = state.beta[-1] * y[m - 1, :keep]
     state.head_vals = mu[:keep].copy()
     state.head_coupling = np.asarray(coupling, dtype=np.float64)
-    state.columns = cols + [residual]
+    state.basis[:, :keep] = q
+    state.basis[:, keep] = residual
+    state.ncols = keep + 1
     state.alpha = []
     state.beta = []
     return state
@@ -210,16 +213,14 @@ def _thick_restart(state, neig, null_basis):
 
 def _insert_random(state, null_basis, rng):
     """Replace a vanished residual direction with a random orthogonal one."""
-    n = state.columns[0].shape[0]
     for _ in range(3):
-        cand = rng.standard_normal(n)
-        block = np.column_stack([null_basis.columns] + state.columns)
+        cand = null_basis.project_out(rng.standard_normal(state.basis.shape[0]))
         try:
-            v, _ = mgs_orthonormalize(cand, block)
+            v, _ = mgs_orthonormalize(cand, state.basis_matrix())
         except GramSchmidtBreakdown:
             continue
         state.beta.append(0.0)
-        state.columns.append(v)
+        state.push(v)
         state.breakdown = False
         return True
     return False

@@ -12,7 +12,8 @@ import time
 import numpy as np
 
 from .ic0 import ic0_factorize
-from .kernels import GramSchmidtBreakdown, dense_sym_eig, mgs_orthonormalize
+from .kernels import (GramSchmidtBreakdown, dense_sym_eig, mgs_orthonormalize,
+                      orthonormal_columns)
 from .pcg import jd_correction_solve, kernel_basis
 from .results import EigenPairSet, SolverError, SolverReport
 from .sparse import MvpCounter, spmv
@@ -90,10 +91,7 @@ def jd_restart(workspace):
     workspace.w = workspace.w @ keep
     workspace.h = np.diag(vals[: workspace.m_min])
     # polish orthonormality lost to roundoff
-    q, _ = np.linalg.qr(workspace.v)
-    signs = np.sign(np.einsum("ij,ij->j", q, workspace.v))
-    signs[signs == 0] = 1.0
-    workspace.v = q * signs
+    workspace.v = orthonormal_columns(workspace.v)
     return workspace
 
 

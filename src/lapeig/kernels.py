@@ -1,6 +1,6 @@
 """Small dense kernels shared by the sparse eigensolvers.
 
-Contains modified Gram-Schmidt with conditional reorthogonalization and
+Contains block Gram-Schmidt with conditional reorthogonalization and
 the symmetric eigensolvers for projected matrices: LAPACK through
 numpy.linalg.eigh for dense ones and scipy.linalg.eigh_tridiagonal for
 tridiagonal ones.  The dense solver is only ever applied to projected
@@ -22,9 +22,10 @@ class GramSchmidtBreakdown(RuntimeError):
 def mgs_orthonormalize(v, basis):
     """Orthonormalize v against the orthonormal columns of basis.
 
-    One modified Gram-Schmidt sweep, repeated once more when the first
-    sweep shrank the vector by more than the classical 0.7 factor.
-    Returns (unit vector, norm before normalization).  Raises
+    One block Gram-Schmidt sweep v - B (B' v) over the whole basis,
+    repeated once more when the first sweep shrank the vector by more
+    than the classical 0.7 factor (two sweeps are enough).  Returns
+    (unit vector, norm before normalization).  Raises
     GramSchmidtBreakdown when the remainder falls below 1e-14 of the
     input norm.
     """
@@ -37,14 +38,11 @@ def mgs_orthonormalize(v, basis):
     norm_in = np.linalg.norm(v)
     if norm_in == 0.0:
         raise GramSchmidtBreakdown("zero vector cannot be orthonormalized")
-    ncols = basis.shape[1] if basis.size else 0
     before = norm_in
-    for _ in range(2):
-        for j in range(ncols):
-            q = basis[:, j]
-            v -= (q @ v) * q
+    for _ in range(2 if basis.size else 0):
+        v -= basis @ (basis.T @ v)
         after = np.linalg.norm(v)
-        if ncols == 0 or after >= _REORTH_FACTOR * before:
+        if after >= _REORTH_FACTOR * before:
             break
         before = after
     norm_out = np.linalg.norm(v)
@@ -53,6 +51,12 @@ def mgs_orthonormalize(v, basis):
             f"vector collapsed to {norm_out:.3e} of its input norm {norm_in:.3e}"
         )
     return v / norm_out, norm_out
+
+
+def orthonormal_columns(x):
+    """Thin-QR basis of x's columns, each signed to match its source column."""
+    q, r = np.linalg.qr(x)
+    return q * np.where(np.diag(r) < 0, -1.0, 1.0)
 
 
 def tridiag_eig(alpha, beta):

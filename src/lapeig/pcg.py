@@ -2,15 +2,17 @@
 
 Graph Laplacians are singular, so linear solves run inside the
 orthogonal complement of the kernel (and of any locked eigenvectors).
-The right-hand side, residual and preconditioned residual are projected
-every iteration, which keeps the operator effectively definite there.
+Every projection is one block step v - Q (Q' v) on the basis columns.
+The right-hand side is projected once; each iteration then projects
+the operator output and the preconditioned residual, so residual and
+search direction stay in the complement, where the operator is
+effectively definite.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ic0 import projected_precond_apply
 from .sparse import spmv
 
 _ORTHO_TOL = 1e-10
@@ -98,29 +100,28 @@ def pcg_solve(op, precond, b, tol, maxit, deflation=None, counter=None, callback
 
     op has signature op(x, counter) -> y and is charged one product per
     call.  precond is None (identity), a callable r -> z, or an object
-    with an apply method.  Iterates, residuals and preconditioned
-    residuals all stay projected.  A nonpositive curvature p' A p stops
+    with an apply method.  Neither needs to project: pcg_solve projects
+    b once and then, per iteration, the operator output and the
+    preconditioned residual, which keeps residuals, directions and
+    iterates in the complement.  A nonpositive curvature p' A p stops
     the iteration immediately and flags the outcome indefinite.
     """
-    b = np.asarray(b, dtype=np.float64)
     if deflation is None or deflation.k == 0:
         project = lambda v: v
-        bhat = b.astype(np.float64, copy=True)
     else:
         project = deflation.project_out
-        bhat = project(b)
     if precond is None:
         psolve = lambda r: r
     elif callable(precond):
         psolve = precond
     else:
         psolve = precond.apply
-    normb = np.linalg.norm(bhat)
-    n = b.shape[0]
+    r = project(np.array(b, dtype=np.float64))
+    normb = np.linalg.norm(r)
+    n = r.shape[0]
     if normb == 0.0:
         return PcgOutcome(np.zeros(n), 0, 0.0, True)
     x = np.zeros(n)
-    r = bhat.copy()
     z = project(psolve(r))
     rz = float(r @ z)
     p = z.copy()
@@ -138,7 +139,6 @@ def pcg_solve(op, precond, b, tol, maxit, deflation=None, counter=None, callback
         gamma = rz / pap
         x += gamma * p
         r -= gamma * ap
-        r = project(r)
         relres = float(np.linalg.norm(r)) / normb
         if callback is not None:
             callback(x)
@@ -159,26 +159,22 @@ def pcg_solve(op, precond, b, tol, maxit, deflation=None, counter=None, callback
 def jd_correction_solve(a, theta, q, residual, f, tol, itmax, counter=None):
     """Approximate solve of the projected shifted system used by Jacobi-Davidson.
 
-    Solves (I - QQ')(A - theta I)(I - QQ') s = -residual by PCG with
-    the preconditioner projected onto the same complement.  The iterate
-    reached at itmax is returned even when the tolerance was not met;
-    an immediate indefinite direction falls back to the projected
-    preconditioned residual so the outer iteration always receives a
-    usable expansion vector.
+    Solves (I - QQ')(A - theta I)(I - QQ') s = -residual by PCG on the
+    complement of Q, handing pcg_solve the plain shifted operator and
+    preconditioner f (None for none); pcg_solve does the projecting.
+    The iterate reached at itmax is returned even when the tolerance
+    was not met; an immediate indefinite direction falls back to the
+    projected preconditioned residual so the outer iteration always
+    receives a usable expansion vector.
     """
     residual = np.asarray(residual, dtype=np.float64)
 
     def op(x, c):
-        return q.project_out(spmv(a, x, c) - theta * x)
+        return spmv(a, x, c) - theta * x
 
-    if f is None:
-        psolve = None
-    else:
-        psolve = lambda r: projected_precond_apply(f, q, r)
-    out = pcg_solve(op, psolve, -residual, tol, itmax, deflation=q, counter=counter)
+    out = pcg_solve(op, f, -residual, tol, itmax, deflation=q, counter=counter)
     s = out.solution
     if np.linalg.norm(s) == 0.0 and np.linalg.norm(residual) > 0.0:
-        fallback = q.project_out(f.apply(q.project_out(-residual))) if f is not None \
-            else q.project_out(-residual)
-        return fallback
+        rhs = q.project_out(-residual)
+        return q.project_out(f.apply(rhs)) if f is not None else rhs
     return s

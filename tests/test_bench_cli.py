@@ -182,7 +182,6 @@ class TestCliParser:
         assert config.delta_pcg is None
         assert config.itmax_inner == 20
         assert (config.m_min, config.m_max) == (5, 10)
-        assert config.sigma == "midpoint"
         assert config.seed == 0
         assert config.report == "table"
 
@@ -195,7 +194,7 @@ class TestCliParser:
             "--input", "g.mtx", "--format", "mtx", "--symmetrize",
             "--solver", "dacg", "--neig", "3", "--tol", "1e-3",
             "--pcg-tol", "1e-5", "--itmax-inner", "40", "--mmin", "4",
-            "--mmax", "12", "--ncv", "25", "--sigma", "lambdak",
+            "--mmax", "12", "--ncv", "25",
             "--seed", "9", "--report", "csv", "--allow-disconnected",
         ])
         config = config_from_args(args)
@@ -207,7 +206,6 @@ class TestCliParser:
         assert config.delta_pcg == 1e-5
         assert config.itmax_inner == 40
         assert (config.m_min, config.m_max, config.ncv) == (4, 12, 25)
-        assert config.sigma == "lambdak"
         assert config.seed == 9
         assert config.report == "csv"
         assert config.allow_disconnected
@@ -247,6 +245,12 @@ class TestCliMain:
         assert main(["--input", str(bad), "--format", fmt]) == 3
         err = capsys.readouterr().err
         assert f"line {line}: non-finite" in err
+
+    def test_overflowing_degree_exits_3(self, tmp_path, capsys):
+        big = tmp_path / "big.txt"
+        big.write_text("3\n0 1 1e308\n0 2 1e308\n1 2 1.0\n")
+        assert main(["--input", str(big), "--solver", "jd"]) == 3
+        assert "degree of node 0" in capsys.readouterr().err
 
     def test_disconnected_exits_3_without_optin(self, tmp_path, capsys):
         g = tmp_path / "two.txt"

@@ -179,6 +179,12 @@ class TestLaplacian:
         vals = np.linalg.eigvalsh(build_laplacian(g).toarray())
         assert vals.min() >= -1e-12
 
+    def test_rejects_overflowing_degree(self):
+        # finite weights whose sum at node 0 overflows to inf
+        g = EdgeList(3, [0, 0, 1], [1, 2, 2], [1e308, 1e308, 1.0])
+        with pytest.raises(ValueError, match="degree of node 0 is not finite"):
+            build_laplacian(g)
+
 
 class TestComponents:
     def test_matches_dense_kernel_dimension(self, rng):

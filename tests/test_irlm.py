@@ -119,7 +119,7 @@ class TestLanczosRelation:
         state = LanczosState(v1, ncv=10)
         for _ in range(8):
             inverse_lanczos_step(state, a, f, 1e-13, nb)
-        vmat = np.column_stack(state.columns[: state.m])
+        vmat = state.basis_matrix()[:, : state.m]
         t_m = state.projected_matrix()
         assert np.max(np.abs(t_m - vmat.T @ pinv @ vmat)) < 1e-8
 
@@ -133,7 +133,7 @@ class TestLanczosRelation:
         state = LanczosState(v1, ncv=10)
         for _ in range(8):
             inverse_lanczos_step(state, a, f, 1e-13, nb)
-        cols = np.column_stack(state.columns)
+        cols = state.basis_matrix()
         gram = cols.T @ cols
         assert np.max(np.abs(gram - np.eye(cols.shape[1]))) < 1e-10
         ones = np.ones(a.n) / np.sqrt(a.n)
@@ -182,7 +182,7 @@ class TestThickRestart:
     def test_contracted_basis_is_orthonormal(self):
         a, f, nb, state = self._grown_state(neig=2, ncv=8)
         _thick_restart(state, 2, nb)
-        cols = np.column_stack(state.columns)
+        cols = state.basis_matrix()
         assert cols.shape[1] == 4
         gram = cols.T @ cols
         assert np.max(np.abs(gram - np.eye(4))) < 1e-10

@@ -62,6 +62,9 @@ class TestPcgSolve:
             b = rng.standard_normal(n)
             out = pcg_solve(lambda x, cnt: spmv(a, x, cnt), None, b, 1e-12, 10 * n)
             assert out.converged
+            # conjugate directions terminate within n steps on these
+            # well-conditioned systems; steepest descent would not
+            assert out.iterations <= n
             want = np.linalg.solve(dense, b)
             assert np.linalg.norm(out.solution - want) <= 1e-8 * np.linalg.norm(want)
 
@@ -95,6 +98,25 @@ class TestPcgSolve:
         # solution actually solves the system on the complement
         assert np.linalg.norm(kb.project_out(spmv(l, out.solution)) - b) <= 1e-8
 
+    def test_projects_operator_output_and_preconditioned_residual(self, rng):
+        l = build_laplacian(random_connected_graph(30, extra_edges=40, seed=2, weighted=True))
+        kb = kernel_basis(30)
+        calls = []
+
+        class CountingBasis:
+            k = kb.k
+
+            def project_out(self, v):
+                calls.append(1)
+                return kb.project_out(v)
+
+        out = pcg_solve(lambda x, cnt: spmv(l, x, cnt), ic0_factorize(l),
+                        rng.standard_normal(30), 1e-10, 300, deflation=CountingBasis())
+        assert out.converged
+        # b and the first z, then A p and z each iteration; the converged
+        # last iteration needs no z
+        assert len(calls) == 2 * out.iterations + 1
+
     def test_zero_rhs_short_circuits(self):
         a = CsrMatrix.identity(4)
         out = pcg_solve(lambda x, cnt: spmv(a, x, cnt), None, np.zeros(4), 1e-12, 10)
@@ -127,10 +149,11 @@ class TestCorrectionSolve:
         theta = float(u @ spmv(l, u))
         residual = spmv(l, u) - theta * u
         q = kb.appended(u)
-        s = jd_correction_solve(l, theta, q, residual, f, 1e-2, 20)
-        assert abs(s @ u) <= 1e-9
-        assert np.abs(q.columns.T @ s).max() <= 1e-9
-        assert np.linalg.norm(s) > 0
+        for precond in (f, None):
+            s = jd_correction_solve(l, theta, q, residual, precond, 1e-2, 20)
+            assert abs(s @ u) <= 1e-9
+            assert np.abs(q.columns.T @ s).max() <= 1e-9
+            assert np.linalg.norm(s) > 0
 
     def test_exact_eigenvector_gets_usable_fallback(self):
         # zero residual would stall; the fallback path must not return zero
@@ -139,6 +162,7 @@ class TestCorrectionSolve:
         u = np.array([1.0, 0.0, -1.0]) / np.sqrt(2)
         q = kb.appended(u)
         residual = np.array([0.5, -1.0, 0.5])  # anything nonzero
-        s = jd_correction_solve(l, 1.0, q, residual, ic0_factorize(l), 1e-2, 20)
-        assert np.linalg.norm(s) > 0
-        assert np.abs(q.columns.T @ s).max() <= 1e-9
+        for precond in (ic0_factorize(l), None):
+            s = jd_correction_solve(l, 1.0, q, residual, precond, 1e-2, 20)
+            assert np.linalg.norm(s) > 0
+            assert np.abs(q.columns.T @ s).max() <= 1e-9
