@@ -166,7 +166,8 @@ def run_graph(edges, config):
             )
         report.converged = True
         report.per_pair_residuals = [float(r) for r in resids]
-        report.config.update(echo)
+        # the solver's effective settings win over the raw RunConfig echo
+        report.config = {**echo, **report.config}
         reports.append(report)
     return reports
 

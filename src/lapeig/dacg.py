@@ -10,10 +10,8 @@ import time
 
 import numpy as np
 
-from .ic0 import ic0_factorize
-from .pcg import kernel_basis
-from .results import EigenPairSet, SolverError, SolverReport
-from .sparse import MvpCounter, spmv
+from .results import EigenPairSet, SolverError, fresh_accept, solver_result, solver_setup
+from .sparse import spmv
 
 _PARALLEL_TOL = 1e-12
 
@@ -30,18 +28,6 @@ class DacgState:
         self.grad = 2.0 * (ax - self.q * x)
         self.p = None
         self.iterations = 0
-
-
-def rq_gradient(a, x, counter=None):
-    """Rayleigh quotient and its gradient at x; exactly one product."""
-    x = np.asarray(x, dtype=np.float64)
-    nrm2 = float(x @ x)
-    if nrm2 == 0.0:
-        raise ValueError("Rayleigh quotient undefined at the zero vector")
-    ax = spmv(a, x, counter)
-    q = float(x @ ax) / nrm2
-    grad = 2.0 * (ax - q * x) / nrm2
-    return q, grad
 
 
 def _is_parallel(x, p):
@@ -95,29 +81,6 @@ def _plane_minimize(x, ax, p, ap):
     return float(mu), alpha / scale, beta / scale
 
 
-def rq_line_search(a, x, p_dir, ax, counter=None):
-    """Step t minimizing the Rayleigh quotient of x + t * p_dir.
-
-    ax must hold the cached product A x; one new product (A p_dir) is
-    spent.  Raises ValueError when p_dir is parallel to x.  When the
-    minimizer lies at infinity (p_dir is itself the minimizing
-    direction of the plane) a large finite step is returned.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    p_dir = np.asarray(p_dir, dtype=np.float64)
-    pn = float(np.linalg.norm(p_dir))
-    if pn == 0.0:
-        raise ValueError("degenerate plane: direction is zero")
-    ps = p_dir / pn
-    ap = spmv(a, ps, counter)
-    _, alpha, beta = _plane_minimize(x, np.asarray(ax, dtype=np.float64), ps, ap)
-    if abs(alpha) <= 1e-14 * abs(beta):
-        t_unit = np.copysign(1e9, beta) * (np.sign(alpha) if alpha != 0 else 1.0)
-    else:
-        t_unit = beta / alpha
-    return float(t_unit / pn)
-
-
 def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None,
                   maxit_per_pair=20000, *, seed=0, counter=None, x0=None):
     """neig smallest strictly positive eigenpairs by Rayleigh quotient descent.
@@ -128,24 +91,13 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None,
     results attached when a pair exceeds maxit_per_pair.
     """
     t0 = time.perf_counter()
-    if counter is None:
-        counter = MvpCounter()
-    if null_basis is None:
-        null_basis = kernel_basis(a.n)
-    if f is None:
-        f = ic0_factorize(a)
-    if neig < 1:
-        raise ValueError("neig must be at least 1")
-    usable = a.n - null_basis.k
-    if neig > usable:
-        raise ValueError(f"asked for {neig} pairs but only {usable} exist "
-                         "outside the kernel")
+    counter, null_basis, f = solver_setup(a, neig, counter, null_basis, f)
     rng = np.random.default_rng(seed)
     reset_period = max(1, a.n // 10)
 
     guard = null_basis
     vals, vecs, resids, per_pair = [], [], [], []
-    setup_mvps = 0
+    outer_mvps = 0
     verify_mvps = 0
 
     for pair_idx in range(neig):
@@ -160,7 +112,7 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None,
                               "deflated subspace")
         x /= nrm
         ax = spmv(a, x, counter)
-        setup_mvps += 1
+        outer_mvps += 1
         state = DacgState(x, ax)
         z_prev = None
         g_prev = None
@@ -173,12 +125,10 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None,
                 # candidate passes on cached data; confirm with a fresh product
                 xc = guard.project_out(state.x)
                 xc /= np.linalg.norm(xc)
-                w = spmv(a, xc, counter)
+                ok, theta, relres, w = fresh_accept(a, xc, delta, counter)
                 verify_mvps += 1
-                theta = float(xc @ w)
-                res_fresh = float(np.linalg.norm(w - theta * xc))
-                if theta > 0 and res_fresh / theta <= delta:
-                    accepted = (theta, xc, res_fresh / theta)
+                if ok:
+                    accepted = (theta, xc, relres)
                     break
                 state.x, state.ax = xc, w
                 state.q = theta
@@ -248,27 +198,8 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None,
         per_pair.append(state.iterations)
         guard = guard.appended(u)
 
-    order = np.argsort(vals, kind="stable")
-    pairs = EigenPairSet(np.asarray(vals)[order],
-                         np.column_stack(vecs)[:, order],
-                         np.asarray(resids)[order])
-    report = SolverReport(
-        solver="dacg",
-        neig=neig,
-        delta=delta,
-        mvp=counter.count,
-        outer_its=0,
-        inner_its_total=int(np.sum(per_pair)),
-        wall_seconds=time.perf_counter() - t0,
-        converged=True,
-        per_pair_residuals=pairs.residuals.tolist(),
-        eigenvalues=pairs.values.tolist(),
-        config={
-            "seed": seed,
-            "maxit_per_pair": maxit_per_pair,
-            "iterations_per_pair": per_pair,
-            "mvp_setup": setup_mvps,
-            "mvp_verify": verify_mvps,
-        },
-    )
-    return pairs, report
+    return solver_result(
+        "dacg", delta, counter, t0, vals, vecs, resids,
+        outer_its=0, inner_its_total=int(np.sum(per_pair)),
+        mvp_outer=outer_mvps, mvp_verify=verify_mvps, restarts=0, seed=seed,
+        maxit_per_pair=maxit_per_pair, iterations_per_pair=per_pair)

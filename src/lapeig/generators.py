@@ -31,17 +31,11 @@ def star_graph(leaves, weight=1.0):
 
 
 def grid_graph(rows, cols, weight=1.0):
-    def node(r, c):
-        return r * cols + c
-
-    triples = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                triples.append((node(r, c), node(r, c + 1), weight))
-            if r + 1 < rows:
-                triples.append((node(r, c), node(r + 1, c), weight))
-    return EdgeList.from_pairs(rows * cols, triples)
+    """rows x cols lattice; node r * cols + c joins its right and lower neighbours."""
+    node = np.arange(rows * cols).reshape(rows, cols)
+    i = np.concatenate([node[:, :-1].ravel(), node[:-1, :].ravel()])
+    j = np.concatenate([node[:, 1:].ravel(), node[1:, :].ravel()])
+    return EdgeList(rows * cols, i, j, np.full(i.size, weight))
 
 
 def random_connected_graph(n, extra_edges=0, seed=0, weighted=True):

@@ -12,12 +12,11 @@ import time
 
 import numpy as np
 
-from .ic0 import ic0_factorize
 from .kernels import (GramSchmidtBreakdown, dense_sym_eig, mgs_orthonormalize,
                       orthonormal_columns)
-from .pcg import DeflationBasis, kernel_basis, pcg_solve
-from .results import EigenPairSet, SolverError, SolverReport
-from .sparse import MvpCounter, spmv
+from .pcg import pcg_solve
+from .results import SolverError, fresh_accept, solver_result, solver_setup
+from .sparse import spmv
 
 _BREAKDOWN_ABS = 1e-12
 
@@ -156,45 +155,37 @@ def _sorted_ritz(state):
     return mu[order], y[:, order]
 
 
-def _check_convergence(state, a, neig, delta, counter):
-    """Verify the leading Ritz pairs with fresh products.
+def _check_convergence(state, ritz, a, neig, delta, counter):
+    """Verify the leading Ritz pairs of ritz = _sorted_ritz(state).
 
-    Returns (pairs or None, verify_mvps).  Every pair's relative
-    residual must pass.
+    Returns ((values, vectors, residuals) or None, verify_mvps); every
+    pair must pass the fresh-product acceptance test.
     """
-    m = state.m
-    if m < neig:
+    if state.m < neig:
         return None, 0
-    mu, y = _sorted_ritz(state)
-    vmat = state.basis[:, :m]
-    thetas = np.zeros(neig)
-    resids = np.zeros(neig)
-    vecs = np.zeros((vmat.shape[0], neig))
-    used = 0
+    _, y = ritz
+    vmat = state.basis[:, : state.m]
+    thetas, vecs, resids = [], [], []
     for i in range(neig):
         u = vmat @ y[:, i]
         u /= np.linalg.norm(u)
-        w = spmv(a, u, counter)
-        used += 1
-        theta = float(u @ w)
-        if theta <= 0:
-            return None, used
-        res = float(np.linalg.norm(w - theta * u)) / theta
-        if res > delta:
-            return None, used
-        thetas[i] = theta
-        resids[i] = res
-        vecs[:, i] = u
-    order = np.argsort(thetas, kind="stable")
-    pairs = EigenPairSet(thetas[order], vecs[:, order], resids[order])
-    return pairs, used
+        ok, theta, relres, _ = fresh_accept(a, u, delta, counter)
+        if not ok:
+            return None, i + 1
+        thetas.append(theta)
+        vecs.append(u)
+        resids.append(relres)
+    return (thetas, vecs, resids), neig
 
 
-def _thick_restart(state, neig, null_basis):
-    """Contract the basis to the best neig + 1 Ritz vectors plus residual."""
+def _thick_restart(state, ritz, neig, null_basis):
+    """Contract the basis to the best neig + 1 Ritz vectors plus residual.
+
+    ritz is _sorted_ritz(state).
+    """
     m = state.m
     keep = min(neig + 1, m - 1)
-    mu, y = _sorted_ritz(state)
+    mu, y = ritz
     heads = null_basis.project_out(state.basis[:, :m] @ y[:, :keep])
     q = orthonormal_columns(heads)
     residual = null_basis.project_out(state.basis[:, m])
@@ -236,22 +227,11 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
     ||A u - theta u|| / theta <= delta with freshly computed products.
     """
     t0 = time.perf_counter()
-    if counter is None:
-        counter = MvpCounter()
-    if null_basis is None:
-        null_basis = kernel_basis(a.n)
-    if f is None:
-        f = ic0_factorize(a)
-    if neig < 1:
-        raise ValueError("neig must be at least 1")
-    usable = a.n - null_basis.k
-    if neig > usable:
-        raise ValueError(f"asked for {neig} pairs but only {usable} exist "
-                         "outside the kernel")
+    counter, null_basis, f = solver_setup(a, neig, counter, null_basis, f)
     if delta_pcg is None:
         delta_pcg = 1e-2 * delta
     ncv_eff = ncv_for(neig) if ncv is None else int(ncv)
-    ncv_eff = min(max(ncv_eff, neig + 2), usable)
+    ncv_eff = min(max(ncv_eff, neig + 2), a.n - null_basis.k)
     rng = np.random.default_rng(seed)
 
     if v0 is not None:
@@ -265,56 +245,36 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
     inner_total = 0
     verify_total = 0
     restarts = 0
-    pairs = None
     for _cycle in range(max_restarts + 1):
         while state.m < ncv_eff and not state.breakdown:
             inverse_lanczos_step(state, a, f, delta_pcg, null_basis,
                                  counter=counter, maxit_inner=maxit_inner)
             solves += 1
             inner_total += state.last_inner_its
-        if state.breakdown:
-            # a vanished residual can hide extra copies of an eigenvalue,
-            # so resume with a random direction before judging convergence
-            if _insert_random(state, null_basis, rng):
-                continue
-            pairs, used = _check_convergence(state, a, neig, delta, counter)
-            verify_total += used
-            if pairs is None:
-                raise SolverError(
-                    f"subspace exhausted at dimension {state.m} before "
-                    f"{neig} pairs reached tolerance {delta:.1e}"
-                )
-            break
-        pairs, used = _check_convergence(state, a, neig, delta, counter)
+        # a vanished residual can hide extra copies of an eigenvalue,
+        # so resume with a random direction before judging convergence
+        if state.breakdown and _insert_random(state, null_basis, rng):
+            continue
+        ritz = _sorted_ritz(state)
+        found, used = _check_convergence(state, ritz, a, neig, delta, counter)
         verify_total += used
-        if pairs is not None:
+        if found is not None:
             break
+        if state.breakdown:
+            raise SolverError(
+                f"subspace exhausted at dimension {state.m} before "
+                f"{neig} pairs reached tolerance {delta:.1e}"
+            )
         if _cycle == max_restarts:
             raise SolverError(
                 f"no convergence after {max_restarts} restarts "
                 f"(subspace {ncv_eff}, delta {delta:.1e})"
             )
-        _thick_restart(state, neig, null_basis)
+        _thick_restart(state, ritz, neig, null_basis)
         restarts += 1
 
-    report = SolverReport(
-        solver="irlm",
-        neig=neig,
-        delta=delta,
-        mvp=counter.count,
-        outer_its=solves,
-        inner_its_total=inner_total,
-        wall_seconds=time.perf_counter() - t0,
-        converged=True,
-        per_pair_residuals=pairs.residuals.tolist(),
-        eigenvalues=pairs.values.tolist(),
-        config={
-            "ncv": ncv_eff,
-            "delta_pcg": delta_pcg,
-            "seed": seed,
-            "maxit_inner": maxit_inner,
-            "restarts": restarts,
-            "mvp_verify": verify_total,
-        },
-    )
-    return pairs, report
+    return solver_result(
+        "irlm", delta, counter, t0, *found,
+        outer_its=solves, inner_its_total=inner_total,
+        mvp_outer=0, mvp_verify=verify_total, restarts=restarts, seed=seed,
+        ncv=ncv_eff, delta_pcg=delta_pcg, maxit_inner=maxit_inner)

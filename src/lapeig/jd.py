@@ -11,12 +11,11 @@ import time
 
 import numpy as np
 
-from .ic0 import ic0_factorize
 from .kernels import (GramSchmidtBreakdown, dense_sym_eig, mgs_orthonormalize,
                       orthonormal_columns)
-from .pcg import jd_correction_solve, kernel_basis
-from .results import EigenPairSet, SolverError, SolverReport
-from .sparse import MvpCounter, spmv
+from .pcg import jd_correction_solve
+from .results import SolverError, fresh_accept, solver_result, solver_setup
+from .sparse import spmv
 
 
 class JdWorkspace:
@@ -58,14 +57,14 @@ class JdWorkspace:
         self.w = np.hstack([self.w, w_new.reshape(-1, 1)])
 
 
-def rayleigh_ritz_extract(workspace):
+def rayleigh_ritz_extract(workspace, ritz):
     """Smallest Ritz pair of the current search space.
 
-    Returns (theta, u, r) with u the unit Ritz vector and r = A u -
-    theta u assembled from the stored image basis, so no product with A
-    is spent.
+    ritz is dense_sym_eig(workspace.h).  Returns (theta, u, r) with u
+    the unit Ritz vector and r = A u - theta u assembled from the
+    stored image basis, so no product with A is spent.
     """
-    vals, vecs = dense_sym_eig(workspace.h)
+    vals, vecs = ritz
     y = vecs[:, 0]
     theta = float(vals[0])
     u = workspace.v @ y
@@ -77,19 +76,23 @@ def rayleigh_ritz_extract(workspace):
     return theta, u, r
 
 
-def jd_restart(workspace):
-    """Contract the basis to the m_min best Ritz vectors.
+def keep_ritz(workspace, ritz, cols):
+    """Rebuild V, W and H from the Ritz vectors in the slice cols.
 
-    Ritz vectors of the retained values rebuild V, W and H exactly
-    (H becomes diagonal), so no products with A are needed.
+    ritz is dense_sym_eig(workspace.h).  The kept Ritz vectors keep W =
+    A V exact and make H diagonal, so no products with A are needed.
     """
+    vals, vecs = ritz
+    workspace.v = workspace.v @ vecs[:, cols]
+    workspace.w = workspace.w @ vecs[:, cols]
+    workspace.h = np.diag(vals[cols])
+
+
+def jd_restart(workspace, ritz):
+    """Contract the basis to the m_min best Ritz vectors of ritz."""
     if workspace.m <= workspace.m_min:
         raise SolverError("restart called below the retention size")
-    vals, vecs = dense_sym_eig(workspace.h)
-    keep = vecs[:, : workspace.m_min]
-    workspace.v = workspace.v @ keep
-    workspace.w = workspace.w @ keep
-    workspace.h = np.diag(vals[: workspace.m_min])
+    keep_ritz(workspace, ritz, slice(0, workspace.m_min))
     # polish orthonormality lost to roundoff
     workspace.v = orthonormal_columns(workspace.v)
     return workspace
@@ -101,26 +104,16 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
                 counter=None, v0=None):
     """neig smallest strictly positive eigenpairs of a by Jacobi-Davidson.
 
-    The outer iteration for a pair stops once ||r|| < delta * theta,
-    after which the pair is verified with a fresh product and locked.
+    The outer iteration for a pair stops once ||r|| < delta * theta;
+    the pair is locked when a fresh product confirms
+    ||A u - theta u|| / theta <= delta.
     The correction equation runs at fixed relative tolerance delta_pcg
     with at most itmax_inner PCG iterations, preconditioned by f
     projected onto the complement of kernel, locked pairs and the
     current Ritz vector.
     """
     t0 = time.perf_counter()
-    if counter is None:
-        counter = MvpCounter()
-    if null_basis is None:
-        null_basis = kernel_basis(a.n)
-    if f is None:
-        f = ic0_factorize(a)
-    if neig < 1:
-        raise ValueError("neig must be at least 1")
-    usable = a.n - null_basis.k
-    if neig > usable:
-        raise ValueError(f"asked for {neig} pairs but only {usable} exist "
-                         "outside the kernel")
+    counter, null_basis, f = solver_setup(a, neig, counter, null_basis, f)
     rng = np.random.default_rng(seed)
 
     guard = null_basis
@@ -167,7 +160,8 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
             w_new = spmv(a, v_new, counter)
             outer_mvps += 1
             workspace.append(v_new, w_new)
-        theta, u, r = rayleigh_ritz_extract(workspace)
+        ritz = dense_sym_eig(workspace.h)
+        theta, u, r = rayleigh_ritz_extract(workspace, ritz)
         if theta <= 0:
             # projected matrix contaminated by kernel leakage
             raise SolverError(f"pair {pair_idx}: nonpositive Ritz value {theta}")
@@ -179,14 +173,12 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
             since_best += 1
         if res < delta * theta:
             u_fix, _ = mgs_orthonormalize(u, guard.columns)
-            w_fix = spmv(a, u_fix, counter)
+            ok, theta_fix, relres, _ = fresh_accept(a, u_fix, delta, counter)
             verify_mvps += 1
-            theta_fix = float(u_fix @ w_fix)
-            res_fix = float(np.linalg.norm(w_fix - theta_fix * u_fix))
-            if res_fix < delta * theta_fix:
+            if ok:
                 locked_vals.append(theta_fix)
                 locked_vecs.append(u_fix)
-                locked_res.append(res_fix / theta_fix)
+                locked_res.append(relres)
                 guard = guard.appended(u_fix)
                 best_res = np.inf
                 since_best = 0
@@ -196,10 +188,7 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
                 # keep W = A V exact, costing no products.  The next
                 # expansion is random so a repeated eigenvalue whose second
                 # copy lies outside the carried span still gets seen.
-                vals, vecs = dense_sym_eig(workspace.h)
-                workspace.v = workspace.v @ vecs[:, 1:]
-                workspace.w = workspace.w @ vecs[:, 1:]
-                workspace.h = np.diag(vals[1:])
+                keep_ritz(workspace, ritz, slice(1, None))
                 cand = rng.standard_normal(a.n)
                 continue
         if saturated:
@@ -214,7 +203,7 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
                 f"(target {delta * theta:.3e})"
             )
         if workspace.m == m_max:
-            jd_restart(workspace)
+            jd_restart(workspace, ritz)
             restarts += 1
         q = guard.appended(workspace.u / np.linalg.norm(workspace.u))
         before = counter.count
@@ -223,31 +212,9 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
         outer_solves += 1
         inner_total += counter.count - before
 
-    order = np.argsort(locked_vals, kind="stable")
-    vals = np.asarray(locked_vals)[order]
-    vecs = np.column_stack(locked_vecs)[:, order]
-    resids = np.asarray(locked_res)[order]
-    pairs = EigenPairSet(vals, vecs, resids)
-    report = SolverReport(
-        solver="jd",
-        neig=neig,
-        delta=delta,
-        mvp=counter.count,
-        outer_its=outer_solves,
-        inner_its_total=inner_total,
-        wall_seconds=time.perf_counter() - t0,
-        converged=True,
-        per_pair_residuals=resids.tolist(),
-        eigenvalues=vals.tolist(),
-        config={
-            "delta_pcg": delta_pcg,
-            "itmax_inner": itmax_inner,
-            "m_min": m_min,
-            "m_max": m_max,
-            "seed": seed,
-            "restarts": restarts,
-            "mvp_outer": outer_mvps,
-            "mvp_verify": verify_mvps,
-        },
-    )
-    return pairs, report
+    return solver_result(
+        "jd", delta, counter, t0, locked_vals, locked_vecs, locked_res,
+        outer_its=outer_solves, inner_its_total=inner_total,
+        mvp_outer=outer_mvps, mvp_verify=verify_mvps, restarts=restarts,
+        seed=seed, delta_pcg=delta_pcg, itmax_inner=itmax_inner,
+        m_min=m_min, m_max=m_max)

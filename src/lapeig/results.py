@@ -1,10 +1,19 @@
-"""Result containers shared by the three eigensolvers."""
+"""The frame shared by the three eigensolvers.
 
+Result containers, plus the three steps every solver runs the same
+way: the set-up (argument checks, then the defaults), the acceptance
+test of a candidate pair with one fresh product, and the assembly of
+the sorted pairs and the report.
+"""
+
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sparse import spmv
+from .ic0 import ic0_factorize
+from .pcg import kernel_basis
+from .sparse import MvpCounter, spmv
 
 
 class SolverError(RuntimeError):
@@ -72,7 +81,14 @@ class EigenPairSet:
 
 @dataclass
 class SolverReport:
-    """Cost and convergence accounting for one solver run."""
+    """Cost and convergence accounting for one solver run.
+
+    Every solver's config holds the ledger keys mvp_outer (products
+    outside the inner iterations: JD's expansions, DACG's start
+    products, none for IRLM), mvp_verify (fresh acceptance products),
+    restarts and seed, next to its own settings.  The ledger accounts
+    for every product: mvp == mvp_outer + inner_its_total + mvp_verify.
+    """
 
     solver: str
     neig: int
@@ -85,6 +101,72 @@ class SolverReport:
     per_pair_residuals: list = field(default_factory=list)
     eigenvalues: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
+
+
+def solver_setup(a, neig, counter, null_basis, f):
+    """Check neig, then default the counter, kernel basis and factor.
+
+    neig must lie in [1, a.n - null_basis.k]; it is checked before the
+    IC(0) factorization, the one costly default.  Returns (counter,
+    null_basis, f).
+    """
+    if null_basis is None:
+        null_basis = kernel_basis(a.n)
+    if neig < 1:
+        raise ValueError("neig must be at least 1")
+    usable = a.n - null_basis.k
+    if neig > usable:
+        raise ValueError(f"asked for {neig} pairs but only {usable} exist "
+                         "outside the kernel")
+    if counter is None:
+        counter = MvpCounter()
+    if f is None:
+        f = ic0_factorize(a)
+    return counter, null_basis, f
+
+
+def fresh_accept(a, u, delta, counter):
+    """Judge the unit candidate u with one fresh product w = A u.
+
+    Returns (accepted, theta, relres, w) with theta = u'w and relres =
+    ||w - theta u|| / theta, or inf when theta <= 0; u is accepted when
+    theta > 0 and relres <= delta.
+    """
+    w = spmv(a, u, counter)
+    theta = float(u @ w)
+    res = float(np.linalg.norm(w - theta * u))
+    relres = res / theta if theta > 0 else np.inf
+    return relres <= delta, theta, relres, w
+
+
+def solver_result(solver, delta, counter, t0, vals, vecs, resids, *,
+                  outer_its, inner_its_total, mvp_outer, mvp_verify,
+                  restarts, seed, **settings):
+    """Sort the accepted pairs into an EigenPairSet and report the run.
+
+    vals, vecs and resids list the accepted pairs in any order, one
+    unit vector per value; t0 is the run's perf_counter start.  The
+    config holds the ledger keys, then the solver's own settings.
+    """
+    order = np.argsort(vals, kind="stable")
+    pairs = EigenPairSet(np.asarray(vals)[order],
+                         np.column_stack(vecs)[:, order],
+                         np.asarray(resids)[order])
+    report = SolverReport(
+        solver=solver,
+        neig=len(pairs),
+        delta=delta,
+        mvp=counter.count,
+        outer_its=outer_its,
+        inner_its_total=inner_its_total,
+        wall_seconds=time.perf_counter() - t0,
+        converged=True,
+        per_pair_residuals=pairs.residuals.tolist(),
+        eigenvalues=pairs.values.tolist(),
+        config=dict(mvp_outer=mvp_outer, mvp_verify=mvp_verify,
+                    restarts=restarts, seed=seed, **settings),
+    )
+    return pairs, report
 
 
 def rayleigh_residuals(a, vectors, counter=None):

@@ -20,6 +20,7 @@ from lapeig.bench import (
 )
 from lapeig.cli import build_parser, config_from_args, main
 from lapeig.generators import path_graph, random_connected_graph
+from lapeig.irlm import ncv_for
 from tests.conftest import dense_positive_pairs
 
 P3_FILE = "3\n0 1 1.0\n1 2 1.0\n"
@@ -106,6 +107,19 @@ class TestRunGraph:
         for r in reports:
             assert "factor_seconds" in r.config
             assert r.config["precond_shift"] >= 0.0
+
+    def test_solver_settings_win_over_the_echo(self):
+        edges = random_connected_graph(60, 80, seed=2)
+        config = RunConfig(neig=3)
+        by_name = {r.solver: r for r in run_graph(edges, config)}
+        irlm = by_name["irlm"].config
+        # the clipped basis size and the default inner tolerance irlm_smallest used
+        assert irlm["ncv"] == min(max(ncv_for(3), 3 + 2), 60 - 1)
+        assert irlm["delta_pcg"] == 1e-2 * config.delta
+        assert by_name["jd"].config["delta_pcg"] == 1e-2
+        for r in by_name.values():
+            assert r.config["n"] == 60
+            assert r.config["seed"] == config.seed
 
 
 class TestReports:

@@ -12,7 +12,19 @@ from lapeig.generators import (
     random_connected_graph,
     star_graph,
 )
-from lapeig.graphs import connected_components, stats
+from lapeig.graphs import EdgeList, connected_components, stats
+
+
+def reference_grid(rows, cols, weight=1.0):
+    """The grid built edge by edge, as a test oracle."""
+    triples = []
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                triples.append((r * cols + c, r * cols + c + 1, weight))
+            if r + 1 < rows:
+                triples.append((r * cols + c, (r + 1) * cols + c, weight))
+    return EdgeList.from_pairs(rows * cols, triples)
 
 
 class TestFixedFamilies:
@@ -46,6 +58,15 @@ class TestFixedFamilies:
         assert g.n_nodes == rows * cols
         assert g.m == rows * (cols - 1) + cols * (rows - 1)
         assert connected_components(g)[0] == 1
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 5), (5, 1), (3, 4), (4, 3)])
+    def test_grid_matches_edge_by_edge_oracle(self, rows, cols):
+        g = grid_graph(rows, cols, weight=2.5)
+        ref = reference_grid(rows, cols, weight=2.5)
+        assert g.n_nodes == ref.n_nodes
+        for got, want in ((g.i, ref.i), (g.j, ref.j), (g.w, ref.w)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     def test_custom_weight_propagates(self):
         g = path_graph(4, weight=2.5)
