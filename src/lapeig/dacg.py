@@ -91,11 +91,10 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None,
     results attached when a pair exceeds maxit_per_pair.
     """
     t0 = time.perf_counter()
-    counter, null_basis, f = solver_setup(a, neig, counter, null_basis, f)
+    counter, guard, f = solver_setup(a, neig, counter, null_basis, f, neig)
     rng = np.random.default_rng(seed)
     reset_period = max(1, a.n // 10)
 
-    guard = null_basis
     vals, vecs, resids, per_pair = [], [], [], []
     outer_mvps = 0
     verify_mvps = 0
@@ -180,9 +179,8 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None,
             state.iterations += 1
             since_reset += 1
         if accepted is None:
-            partial = EigenPairSet(
-                np.asarray(vals), np.column_stack(vecs) if vecs else
-                np.zeros((a.n, 0)), np.asarray(resids))
+            found = guard.columns[:, guard.k - len(vals):].copy()
+            partial = EigenPairSet(np.asarray(vals), found, np.asarray(resids))
             err = SolverError(
                 f"pair {pair_idx}: iteration cap {maxit_per_pair} reached "
                 f"(residual {res / state.q if state.q else np.inf:.3e}, "
@@ -196,7 +194,7 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None,
         vecs.append(u)
         resids.append(rres)
         per_pair.append(state.iterations)
-        guard = guard.appended(u)
+        guard.push(u)
 
     return solver_result(
         "dacg", delta, counter, t0, vals, vecs, resids,

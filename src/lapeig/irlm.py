@@ -14,7 +14,7 @@ import numpy as np
 
 from .kernels import (GramSchmidtBreakdown, dense_sym_eig, mgs_orthonormalize,
                       orthonormal_columns)
-from .pcg import pcg_solve
+from .pcg import DeflationBasis, pcg_solve
 from .results import SolverError, fresh_accept, solver_result, solver_setup
 from .sparse import spmv
 
@@ -40,23 +40,21 @@ def ncv_for(neig):
 class LanczosState:
     """Basis and projected matrix of the inverse-operator Lanczos process.
 
-    The basis lives in one preallocated n x (ncv + 1) column-major
-    array whose first ncols columns are in use, so every
-    orthogonalization is a block step on one contiguous slice.  The
-    basis always holds one more column than the projected matrix
-    covers: the trailing column is the normalized residual waiting to
-    be expanded (absent right after a breakdown).  After a thick
-    restart the projected matrix is arrowhead-plus-tridiagonal: retained
-    Ritz values on the head diagonal, a coupling vector between the
-    head and the first tail column, then the usual alpha/beta tail.
+    The basis is a DeflationBasis with room for ncv + 1 columns, grown
+    in place by push, so every orthogonalization is a block step on one
+    contiguous slice.  It always holds one more column than the
+    projected matrix covers: the trailing column is the normalized
+    residual waiting to be expanded (absent right after a breakdown).
+    After a thick restart the projected matrix is
+    arrowhead-plus-tridiagonal: retained Ritz values on the head
+    diagonal, a coupling vector between the head and the first tail
+    column, then the usual alpha/beta tail.
     """
 
     def __init__(self, v1, ncv):
         v1 = np.asarray(v1, dtype=np.float64)
         self.ncv = int(ncv)
-        self.basis = np.zeros((v1.shape[0], self.ncv + 1), order="F")
-        self.basis[:, 0] = v1
-        self.ncols = 1
+        self.basis = DeflationBasis(v1.reshape(-1, 1), self.ncv + 1)
         self.head_vals = np.zeros(0)
         self.head_coupling = np.zeros(0)
         self.alpha = []
@@ -71,30 +69,18 @@ class LanczosState:
 
     @property
     def has_pending(self):
-        return self.ncols == self.m + 1
-
-    def basis_matrix(self):
-        """View of the basis columns in use."""
-        return self.basis[:, : self.ncols]
-
-    def push(self, v):
-        """Append the unit column v to the basis."""
-        self.basis[:, self.ncols] = v
-        self.ncols += 1
+        return self.basis.k == self.m + 1
 
     def projected_matrix(self):
         k = self.head_vals.shape[0]
         t = len(self.alpha)
-        h = np.zeros((k + t, k + t))
-        h[np.arange(k), np.arange(k)] = self.head_vals
+        h = np.diag(np.concatenate((self.head_vals, self.alpha)))
         if k and t:
             h[:k, k] = self.head_coupling
             h[k, :k] = self.head_coupling
-        for idx in range(t):
-            h[k + idx, k + idx] = self.alpha[idx]
-            if idx + 1 < t:
-                h[k + idx, k + idx + 1] = self.beta[idx]
-                h[k + idx + 1, k + idx] = self.beta[idx]
+        tail = np.arange(k, k + t - 1)
+        h[tail, tail + 1] = self.beta[: tail.shape[0]]
+        h[tail + 1, tail] = self.beta[: tail.shape[0]]
         return h
 
 
@@ -110,7 +96,8 @@ def inverse_lanczos_step(state, a, f, delta_pcg, null_basis, counter=None,
     """
     if not state.has_pending:
         raise SolverError("no pending vector to expand (breakdown not handled)")
-    v = state.basis[:, state.ncols - 1]
+    vmat = state.basis.columns
+    v = vmat[:, -1]
 
     def op(x, c):
         return spmv(a, x, c)
@@ -129,21 +116,19 @@ def inverse_lanczos_step(state, a, f, delta_pcg, null_basis, counter=None,
     w = w - alpha_j * v
     k = state.head_vals.shape[0]
     if state.alpha:
-        w -= state.beta[-1] * state.basis[:, state.ncols - 2]
+        w -= state.beta[-1] * vmat[:, -2]
     elif k:
-        w -= state.basis[:, :k] @ state.head_coupling
+        w -= vmat[:, :k] @ state.head_coupling
     # full reorthogonalization, two block sweeps over kernel and basis
-    vmat = state.basis_matrix()
     for _ in range(2):
-        w = null_basis.project_out(w)
-        w -= vmat @ (vmat.T @ w)
+        w = state.basis.project_out(null_basis.project_out(w))
     b = float(np.linalg.norm(w))
     state.alpha.append(alpha_j)
     if b < _BREAKDOWN_ABS * scale:
         state.breakdown = True
     else:
         state.beta.append(b)
-        state.push(w / b)
+        state.basis.push(w / b)
     return state
 
 
@@ -164,7 +149,7 @@ def _check_convergence(state, ritz, a, neig, delta, counter):
     if state.m < neig:
         return None, 0
     _, y = ritz
-    vmat = state.basis[:, : state.m]
+    vmat = state.basis.columns[:, : state.m]
     thetas, vecs, resids = [], [], []
     for i in range(neig):
         u = vmat @ y[:, i]
@@ -186,17 +171,14 @@ def _thick_restart(state, ritz, neig, null_basis):
     m = state.m
     keep = min(neig + 1, m - 1)
     mu, y = ritz
-    heads = null_basis.project_out(state.basis[:, :m] @ y[:, :keep])
-    q = orthonormal_columns(heads)
-    residual = null_basis.project_out(state.basis[:, m])
-    residual -= q @ (q.T @ residual)
-    residual /= np.linalg.norm(residual)
-    coupling = state.beta[-1] * y[m - 1, :keep]
+    basis = state.basis
+    heads = null_basis.project_out(basis.columns[:, :m] @ y[:, :keep])
+    basis.buffer[:, :keep] = orthonormal_columns(heads)
+    basis.k = keep
+    residual = basis.project_out(null_basis.project_out(basis.buffer[:, m]))
+    basis.push(residual / np.linalg.norm(residual))
     state.head_vals = mu[:keep].copy()
-    state.head_coupling = np.asarray(coupling, dtype=np.float64)
-    state.basis[:, :keep] = q
-    state.basis[:, keep] = residual
-    state.ncols = keep + 1
+    state.head_coupling = state.beta[-1] * y[m - 1, :keep]
     state.alpha = []
     state.beta = []
     return state
@@ -205,13 +187,13 @@ def _thick_restart(state, ritz, neig, null_basis):
 def _insert_random(state, null_basis, rng):
     """Replace a vanished residual direction with a random orthogonal one."""
     for _ in range(3):
-        cand = null_basis.project_out(rng.standard_normal(state.basis.shape[0]))
+        cand = null_basis.project_out(rng.standard_normal(state.basis.n))
         try:
-            v, _ = mgs_orthonormalize(cand, state.basis_matrix())
+            v, _ = mgs_orthonormalize(cand, state.basis.columns)
         except GramSchmidtBreakdown:
             continue
         state.beta.append(0.0)
-        state.push(v)
+        state.basis.push(v)
         state.breakdown = False
         return True
     return False
@@ -227,7 +209,7 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
     ||A u - theta u|| / theta <= delta with freshly computed products.
     """
     t0 = time.perf_counter()
-    counter, null_basis, f = solver_setup(a, neig, counter, null_basis, f)
+    counter, null_basis, f = solver_setup(a, neig, counter, null_basis, f, 0)
     if delta_pcg is None:
         delta_pcg = 1e-2 * delta
     ncv_eff = ncv_for(neig) if ncv is None else int(ncv)

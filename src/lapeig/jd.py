@@ -5,97 +5,99 @@ the smallest Ritz pair of the projected matrix, and asks a projected
 shifted PCG solve (the correction equation) for the next expansion
 direction.  Converged eigenvectors are locked into the projector used
 by later pairs.
+
+One DeflationBasis buffer holds the guard (kernel, then locked
+vectors) and, right after it, the search basis V in Ritz order: each
+Rayleigh-Ritz step rotates V and W = A V so that H = V'AV is diagonal
+and the Ritz vector u is V's first column.  The expansion block
+[guard, V] and the correction projector [guard, u] are then prefixes
+of the buffer, a restart keeps V's first m_min columns, and a lock
+writes the verified vector over u and grows the guard by one.
 """
 
 import time
 
 import numpy as np
 
-from .kernels import (GramSchmidtBreakdown, dense_sym_eig, mgs_orthonormalize,
-                      orthonormal_columns)
+from .kernels import GramSchmidtBreakdown, dense_sym_eig, mgs_orthonormalize
 from .pcg import jd_correction_solve
 from .results import SolverError, fresh_accept, solver_result, solver_setup
 from .sparse import spmv
 
 
 class JdWorkspace:
-    """Search basis V, its image W = A V and projected matrix H = V'AV."""
+    """Search basis V after the guard, its image W = A V and H = V'AV.
 
-    def __init__(self, n, m_min, m_max):
+    guard needs room for m_max more columns; V is the m buffer columns
+    after guard.k, W the first m columns of its own n x m_max buffer.
+    """
+
+    def __init__(self, guard, m_min, m_max):
         if not 0 < m_min < m_max:
             raise ValueError("need 0 < m_min < m_max")
+        self.guard = guard
         self.m_min = int(m_min)
-        self.m_max = int(m_max)
-        self.v = np.zeros((n, 0))
-        self.w = np.zeros((n, 0))
+        self.w_buf = np.zeros((guard.n, m_max), order="F")
         self.h = np.zeros((0, 0))
-        self.theta = None
-        self.u = None
 
     @property
     def m(self):
-        return self.v.shape[1]
+        return self.h.shape[0]
+
+    @property
+    def block(self):
+        """[guard, V], a prefix of the guard's buffer."""
+        return self.guard.buffer[:, : self.guard.k + self.m]
+
+    @property
+    def v(self):
+        return self.block[:, self.guard.k:]
+
+    @property
+    def w(self):
+        return self.w_buf[:, : self.m]
 
     def append(self, v_new, w_new):
-        """Grow the basis by an orthonormal column and its image.
+        """Grow V by an orthonormal column and W by its image.
 
-        The projected matrix gains the matching bordered row/column and
-        is symmetrized, since the row and column estimates differ only
-        by roundoff.
+        H gains the bordered row and column, symmetrized since the two
+        estimates differ only by roundoff.
         """
-        col = self.v.T @ w_new
-        row = v_new @ self.w
-        diag = float(v_new @ w_new)
         m = self.m
         h = np.zeros((m + 1, m + 1))
         h[:m, :m] = self.h
-        h[:m, m] = col
-        h[m, :m] = row
-        h[m, m] = diag
+        h[:m, m] = self.v.T @ w_new
+        h[m, :m] = v_new @ self.w
+        h[m, m] = float(v_new @ w_new)
         self.h = 0.5 * (h + h.T)
-        self.v = np.hstack([self.v, v_new.reshape(-1, 1)])
-        self.w = np.hstack([self.w, w_new.reshape(-1, 1)])
+        self.guard.buffer[:, self.guard.k + m] = v_new
+        self.w_buf[:, m] = w_new
 
+    def rotate(self, ritz):
+        """Rotate V and W into Ritz coordinates; ritz is dense_sym_eig(h).
 
-def rayleigh_ritz_extract(workspace, ritz):
-    """Smallest Ritz pair of the current search space.
+        Returns (theta, u, r) for the smallest pair: u is V's first
+        column and r = A u - theta u comes from W, costing no product.
+        """
+        vals, vecs = ritz
+        v = self.v
+        v[:] = v @ vecs
+        self.w[:] = self.w @ vecs
+        self.h = np.diag(vals)
+        theta = float(vals[0])
+        return theta, v[:, 0], self.w_buf[:, 0] - theta * v[:, 0]
 
-    ritz is dense_sym_eig(workspace.h).  Returns (theta, u, r) with u
-    the unit Ritz vector and r = A u - theta u assembled from the
-    stored image basis, so no product with A is spent.
-    """
-    vals, vecs = ritz
-    y = vecs[:, 0]
-    theta = float(vals[0])
-    u = workspace.v @ y
-    nrm = float(np.linalg.norm(u))
-    u /= nrm
-    r = workspace.w @ y / nrm - theta * u
-    workspace.theta = theta
-    workspace.u = u
-    return theta, u, r
+    def restart(self):
+        """Contract V to its first m_min Ritz vectors, the best ones."""
+        if self.m <= self.m_min:
+            raise SolverError("restart called below the retention size")
+        self.h = self.h[: self.m_min, : self.m_min]
 
-
-def keep_ritz(workspace, ritz, cols):
-    """Rebuild V, W and H from the Ritz vectors in the slice cols.
-
-    ritz is dense_sym_eig(workspace.h).  The kept Ritz vectors keep W =
-    A V exact and make H diagonal, so no products with A are needed.
-    """
-    vals, vecs = ritz
-    workspace.v = workspace.v @ vecs[:, cols]
-    workspace.w = workspace.w @ vecs[:, cols]
-    workspace.h = np.diag(vals[cols])
-
-
-def jd_restart(workspace, ritz):
-    """Contract the basis to the m_min best Ritz vectors of ritz."""
-    if workspace.m <= workspace.m_min:
-        raise SolverError("restart called below the retention size")
-    keep_ritz(workspace, ritz, slice(0, workspace.m_min))
-    # polish orthonormality lost to roundoff
-    workspace.v = orthonormal_columns(workspace.v)
-    return workspace
+    def lock(self, u):
+        """Write the unit vector u over V's first column and guard it."""
+        self.guard.push(u)
+        self.w_buf[:, : self.m - 1] = self.w_buf[:, 1 : self.m]
+        self.h = self.h[1:, 1:]
 
 
 def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
@@ -113,20 +115,18 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
     current Ritz vector.
     """
     t0 = time.perf_counter()
-    counter, null_basis, f = solver_setup(a, neig, counter, null_basis, f)
+    counter, guard, f = solver_setup(a, neig, counter, null_basis, f,
+                                     neig + m_max)
     rng = np.random.default_rng(seed)
 
-    guard = null_basis
-    locked_vals = []
-    locked_vecs = []
-    locked_res = []
+    locked_vals, locked_vecs, locked_res = [], [], []
     outer_solves = 0
     inner_total = 0
     outer_mvps = 0
     verify_mvps = 0
     restarts = 0
 
-    workspace = JdWorkspace(a.n, m_min, m_max)
+    workspace = JdWorkspace(guard, m_min, m_max)
     cand = np.asarray(v0, dtype=np.float64) if v0 is not None \
         else rng.standard_normal(a.n)
     best_res = np.inf
@@ -145,7 +145,7 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
         # no room left for unseen eigenvalue copies; extract directly
         saturated = guard.k + workspace.m >= a.n
         if not saturated:
-            block = np.hstack([guard.columns, workspace.v])
+            block = workspace.block
             try:
                 v_new, _ = mgs_orthonormalize(cand, block)
             except GramSchmidtBreakdown:
@@ -161,7 +161,7 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
             outer_mvps += 1
             workspace.append(v_new, w_new)
         ritz = dense_sym_eig(workspace.h)
-        theta, u, r = rayleigh_ritz_extract(workspace, ritz)
+        theta, u, r = workspace.rotate(ritz)
         if theta <= 0:
             # projected matrix contaminated by kernel leakage
             raise SolverError(f"pair {pair_idx}: nonpositive Ritz value {theta}")
@@ -179,7 +179,6 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
                 locked_vals.append(theta_fix)
                 locked_vecs.append(u_fix)
                 locked_res.append(relres)
-                guard = guard.appended(u_fix)
                 best_res = np.inf
                 since_best = 0
                 outer_here = 0
@@ -188,7 +187,7 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
                 # keep W = A V exact, costing no products.  The next
                 # expansion is random so a repeated eigenvalue whose second
                 # copy lies outside the carried span still gets seen.
-                keep_ritz(workspace, ritz, slice(1, None))
+                workspace.lock(u_fix)
                 cand = rng.standard_normal(a.n)
                 continue
         if saturated:
@@ -203,12 +202,15 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
                 f"(target {delta * theta:.3e})"
             )
         if workspace.m == m_max:
-            jd_restart(workspace, ritz)
+            workspace.restart()
             restarts += 1
-        q = guard.appended(workspace.u / np.linalg.norm(workspace.u))
+        # the correction projects out [guard, u]: u is the column after
+        # the guard, so the guard's prefix grows by one for the solve
         before = counter.count
-        cand = jd_correction_solve(a, theta, q, r, f, delta_pcg,
+        guard.k += 1
+        cand = jd_correction_solve(a, theta, guard, r, f, delta_pcg,
                                    itmax_inner, counter)
+        guard.k -= 1
         outer_solves += 1
         inner_total += counter.count - before
 

@@ -2,11 +2,12 @@
 
 Graph Laplacians are singular, so linear solves run inside the
 orthogonal complement of the kernel (and of any locked eigenvectors).
-Every projection is one block step v - Q (Q' v) on the basis columns.
-The right-hand side is projected once; each iteration then projects
-the operator output and the preconditioned residual, so residual and
-search direction stay in the complement, where the operator is
-effectively definite.
+A DeflationBasis holds that subspace in one preallocated column-major
+buffer that a solver grows in place; every projection is one block
+step v - Q (Q' v) on the columns in use.  The right-hand side is
+projected once; each iteration then projects the operator output and
+the preconditioned residual, so residual and search direction stay in
+the complement, where the operator is effectively definite.
 """
 
 from dataclasses import dataclass
@@ -19,20 +20,27 @@ _ORTHO_TOL = 1e-10
 
 
 class DeflationBasis:
-    """Orthonormal columns spanning the subspace to project out."""
+    """Orthonormal columns spanning the subspace to project out.
 
-    __slots__ = ("columns",)
+    buffer is a column-major n x capacity array whose first k columns
+    are in use; columns is a read-only view of them.  The constructor
+    checks the given columns; push adds one in place without a recheck.
+    """
 
-    def __init__(self, columns):
+    __slots__ = ("buffer", "k")
+
+    def __init__(self, columns, capacity=None):
         columns = np.asarray(columns, dtype=np.float64)
         if columns.ndim != 2:
             raise ValueError("columns must be a 2-D array")
-        if columns.shape[1]:
+        n, k = columns.shape
+        if k:
             gram = columns.T @ columns
-            if np.abs(gram - np.eye(columns.shape[1])).max() > _ORTHO_TOL:
+            if np.abs(gram - np.eye(k)).max() > _ORTHO_TOL:
                 raise ValueError("deflation columns are not orthonormal")
-        self.columns = columns
-        self.columns.setflags(write=False)
+        self.buffer = np.zeros((n, max(k, capacity or 0)), order="F")
+        self.buffer[:, :k] = columns
+        self.k = k
 
     @classmethod
     def empty(cls, n):
@@ -48,41 +56,45 @@ class DeflationBasis:
 
     @property
     def n(self):
-        return self.columns.shape[0]
+        return self.buffer.shape[0]
 
     @property
-    def k(self):
-        return self.columns.shape[1]
+    def columns(self):
+        view = self.buffer[:, : self.k]
+        view.flags.writeable = False
+        return view
+
+    def push(self, u):
+        """Add the unit vector u, orthogonal to the span, as column k."""
+        self.buffer[:, self.k] = u
+        self.k += 1
 
     def project_out(self, v):
         """v minus its orthogonal projection onto the basis span."""
-        if self.k == 0:
-            return np.array(v, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
-        return v - self.columns @ (self.columns.T @ v)
-
-    def appended(self, u):
-        """New basis with unit vector u (assumed orthogonal to the span) added."""
-        u = np.asarray(u, dtype=np.float64).reshape(-1, 1)
-        return DeflationBasis(np.hstack([self.columns, u]))
+        q = self.buffer[:, : self.k]
+        return v - q @ (q.T @ v)
 
 
 def kernel_basis(n, labels=None):
     """Orthonormal basis of the Laplacian kernel.
 
-    With labels (a component id per node) one normalized indicator per
-    component; without, the single constant vector e / sqrt(n).
+    With labels (a component id per node, 0 to count - 1, each used)
+    one normalized indicator per component; without, the single
+    constant vector e / sqrt(n).
     """
     if labels is None:
         return DeflationBasis(np.full((n, 1), 1.0 / np.sqrt(n)))
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (n,):
         raise ValueError("labels must have one entry per node")
-    ncomp = int(labels.max()) + 1
-    cols = np.zeros((n, ncomp))
-    for c in range(ncomp):
-        mask = labels == c
-        cols[mask, c] = 1.0 / np.sqrt(mask.sum())
+    if (labels < 0).any():
+        raise ValueError("labels must be nonnegative component ids")
+    sizes = np.bincount(labels)
+    if not sizes.all():
+        raise ValueError(f"component {int(np.argmin(sizes))} has no node")
+    cols = np.zeros((n, sizes.shape[0]))
+    cols[np.arange(n), labels] = 1.0 / np.sqrt(sizes[labels])
     return DeflationBasis(cols)
 
 

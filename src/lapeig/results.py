@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ic0 import ic0_factorize
-from .pcg import kernel_basis
+from .pcg import DeflationBasis, kernel_basis
 from .sparse import MvpCounter, spmv
 
 
@@ -103,15 +103,19 @@ class SolverReport:
     config: dict = field(default_factory=dict)
 
 
-def solver_setup(a, neig, counter, null_basis, f):
-    """Check neig, then default the counter, kernel basis and factor.
+def solver_setup(a, neig, counter, null_basis, f, room):
+    """Check the arguments, then default the counter, kernel basis and factor.
 
-    neig must lie in [1, a.n - null_basis.k]; it is checked before the
-    IC(0) factorization, the one costly default.  Returns (counter,
-    null_basis, f).
+    null_basis must have a.n rows and neig must lie in [1, a.n -
+    null_basis.k], both checked before the costly IC(0) default.  Returns
+    (counter, guard, f); guard copies null_basis with room for room more
+    columns, so growing it never touches the caller's basis.
     """
     if null_basis is None:
         null_basis = kernel_basis(a.n)
+    if null_basis.n != a.n:
+        raise ValueError(f"null_basis has {null_basis.n} rows but the matrix "
+                         f"has {a.n}")
     if neig < 1:
         raise ValueError("neig must be at least 1")
     usable = a.n - null_basis.k
@@ -122,7 +126,8 @@ def solver_setup(a, neig, counter, null_basis, f):
         counter = MvpCounter()
     if f is None:
         f = ic0_factorize(a)
-    return counter, null_basis, f
+    guard = DeflationBasis(null_basis.columns, null_basis.k + room)
+    return counter, guard, f
 
 
 def fresh_accept(a, u, delta, counter):

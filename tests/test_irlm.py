@@ -26,6 +26,23 @@ from lapeig.sparse import MvpCounter
 from tests.conftest import dense_positive_pairs
 
 
+def _loop_projected_matrix(state):
+    """The projected matrix filled entry by entry, as a reference."""
+    k = state.head_vals.shape[0]
+    t = len(state.alpha)
+    h = np.zeros((k + t, k + t))
+    h[np.arange(k), np.arange(k)] = state.head_vals
+    if k and t:
+        h[:k, k] = state.head_coupling
+        h[k, :k] = state.head_coupling
+    for idx in range(t):
+        h[k + idx, k + idx] = state.alpha[idx]
+        if idx + 1 < t:
+            h[k + idx, k + idx + 1] = state.beta[idx]
+            h[k + idx + 1, k + idx] = state.beta[idx]
+    return h
+
+
 def _setup(edges):
     a = build_laplacian(edges)
     return a, ic0_factorize(a), kernel_basis(a.n)
@@ -120,7 +137,7 @@ class TestLanczosRelation:
         state = LanczosState(v1, ncv=10)
         for _ in range(8):
             inverse_lanczos_step(state, a, f, 1e-13, nb)
-        vmat = state.basis_matrix()[:, : state.m]
+        vmat = state.basis.columns[:, : state.m]
         t_m = state.projected_matrix()
         assert np.max(np.abs(t_m - vmat.T @ pinv @ vmat)) < 1e-8
 
@@ -134,7 +151,7 @@ class TestLanczosRelation:
         state = LanczosState(v1, ncv=10)
         for _ in range(8):
             inverse_lanczos_step(state, a, f, 1e-13, nb)
-        cols = state.basis_matrix()
+        cols = state.basis.columns
         gram = cols.T @ cols
         assert np.max(np.abs(gram - np.eye(cols.shape[1]))) < 1e-10
         ones = np.ones(a.n) / np.sqrt(a.n)
@@ -183,7 +200,7 @@ class TestThickRestart:
     def test_contracted_basis_is_orthonormal(self):
         a, f, nb, state = self._grown_state(neig=2, ncv=8)
         _thick_restart(state, _sorted_ritz(state), 2, nb)
-        cols = state.basis_matrix()
+        cols = state.basis.columns
         assert cols.shape[1] == 4
         gram = cols.T @ cols
         assert np.max(np.abs(gram - np.eye(4))) < 1e-10
@@ -202,6 +219,9 @@ class TestThickRestart:
         assert np.allclose(h[k, :k], state.head_coupling)
         off_head = h[:k, :k] - np.diag(state.head_vals)
         assert np.max(np.abs(off_head)) == 0.0
+        for _ in range(3):
+            inverse_lanczos_step(state, a, f, 1e-12, nb)
+        assert np.array_equal(state.projected_matrix(), _loop_projected_matrix(state))
 
     def test_restart_does_not_lose_accuracy(self):
         # The restarted process must still converge to the true

@@ -34,12 +34,27 @@ class TestDeflationBasis:
         # idempotent
         assert np.allclose(basis.project_out(w), w, atol=1e-14)
 
-    def test_appended_grows(self, rng):
-        basis = DeflationBasis.empty(6)
+    def test_push_grows_in_place(self):
+        basis = DeflationBasis(np.zeros((6, 0)), capacity=2)
+        buffer = basis.buffer
         u = np.zeros(6)
         u[2] = 1.0
-        grown = basis.appended(u)
-        assert grown.k == 1 and basis.k == 0
+        basis.push(u)
+        assert basis.k == 1
+        assert basis.buffer is buffer
+        assert np.array_equal(basis.columns[:, 0], u)
+        assert np.array_equal(basis.project_out(np.ones(6)),
+                              [1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
+
+    def test_columns_are_a_read_only_copy_of_the_input(self, rng):
+        given = np.linalg.qr(rng.standard_normal((8, 3)))[0]
+        basis = DeflationBasis(given, capacity=5)
+        assert basis.buffer.shape == (8, 5)
+        assert basis.buffer.flags.f_contiguous
+        assert np.array_equal(basis.columns, given)
+        assert given.flags.writeable
+        with pytest.raises(ValueError):
+            basis.columns[0, 0] = 1.0
 
     def test_kernel_basis_constant_vector(self):
         kb = kernel_basis(4)
@@ -51,6 +66,20 @@ class TestDeflationBasis:
         assert np.allclose(kb.columns[:2, 0], 1 / np.sqrt(2))
         assert np.allclose(kb.columns[2:, 1], 1 / np.sqrt(3))
         assert kb.columns[0, 1] == 0.0
+        labels = np.array([0, 1, 0, 2, 1, 0])
+        want = np.zeros((6, 3))
+        for c, size in enumerate((3, 2, 1)):
+            want[labels == c, c] = 1.0 / np.sqrt(size)
+        assert np.array_equal(kernel_basis(6, labels=labels).columns, want)
+
+    def test_kernel_basis_rejects_negative_labels(self):
+        # a negative id would silently leave its node out of the kernel
+        with pytest.raises(ValueError, match="nonnegative"):
+            kernel_basis(3, labels=[0, 0, -1])
+
+    def test_kernel_basis_rejects_empty_components(self):
+        with pytest.raises(ValueError, match="component 1 has no node"):
+            kernel_basis(3, labels=[0, 2, 2])
 
 
 class TestPcgSolve:
@@ -148,7 +177,8 @@ class TestCorrectionSolve:
         u /= np.linalg.norm(u)
         theta = float(u @ spmv(l, u))
         residual = spmv(l, u) - theta * u
-        q = kb.appended(u)
+        q = DeflationBasis(kb.columns, capacity=2)
+        q.push(u)
         for precond in (f, None):
             s = jd_correction_solve(l, theta, q, residual, precond, 1e-2, 20)
             assert abs(s @ u) <= 1e-9
@@ -160,7 +190,8 @@ class TestCorrectionSolve:
         l = build_laplacian(path_graph(3))
         kb = kernel_basis(3)
         u = np.array([1.0, 0.0, -1.0]) / np.sqrt(2)
-        q = kb.appended(u)
+        q = DeflationBasis(kb.columns, capacity=2)
+        q.push(u)
         residual = np.array([0.5, -1.0, 0.5])  # anything nonzero
         for precond in (ic0_factorize(l), None):
             s = jd_correction_solve(l, 1.0, q, residual, precond, 1e-2, 20)

@@ -10,6 +10,7 @@ from lapeig.generators import random_connected_graph
 from lapeig.graphs import build_laplacian
 from lapeig.irlm import irlm_smallest
 from lapeig.jd import jd_smallest
+from lapeig.pcg import DeflationBasis, kernel_basis
 from lapeig.results import fresh_accept
 from lapeig.sparse import CsrMatrix, MvpCounter
 
@@ -67,16 +68,56 @@ def test_report_accounting_identity(name):
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
-@pytest.mark.parametrize("neig, match", [(0, "at least 1"), (3, "only 2 exist")])
-def test_bad_neig_is_rejected_before_factoring(name, neig, match):
+@pytest.mark.parametrize(
+    "neig, rows, match",
+    [(0, None, "at least 1"), (3, None, "only 2 exist"),
+     (1, 4, "null_basis has 4 rows but the matrix has 3")],
+    ids=["0-at least 1", "3-only 2 exist", "1-4 rows"])
+def test_bad_neig_is_rejected_before_factoring(name, neig, rows, match):
     # IC(0) raises Ic0Error on this NaN pivot, so a ValueError shows that
-    # neig was checked before the preconditioner was built
+    # the arguments were checked before the preconditioner was built
     a = CsrMatrix.from_coo(3, [0, 0, 1, 1, 1, 2, 2], [0, 1, 0, 1, 2, 1, 2],
                            [np.nan, -1.0, -1.0, 2.0, -1.0, -1.0, 1.0],
                            symmetric=True)
     solve, _ = SOLVERS[name]
+    null_basis = kernel_basis(rows) if rows else None
     with pytest.raises(ValueError, match=match):
-        solve(a, neig)
+        solve(a, neig, null_basis=null_basis)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_caller_null_basis_is_left_alone(name):
+    solve, _ = SOLVERS[name]
+    a = build_laplacian(random_connected_graph(30, extra_edges=25, seed=11))
+    null_basis = kernel_basis(a.n)
+    columns = null_basis.columns.copy()
+    solve(a, 3, delta=1e-6, null_basis=null_basis, seed=0)
+    assert null_basis.k == 1
+    assert np.array_equal(null_basis.columns, columns)
+
+
+@pytest.mark.parametrize("name", ["dacg", "jd"])
+def test_basis_constructions_do_not_grow_with_the_run(monkeypatch, name):
+    # the guard grows in place: a longer run, with more pairs and more
+    # outer steps, builds no more DeflationBasis objects than a short one
+    built = []
+    original = DeflationBasis.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(DeflationBasis, "__init__", counted)
+    solve, _ = SOLVERS[name]
+    a = build_laplacian(random_connected_graph(50, extra_edges=60, seed=7))
+    counts, mvps = [], []
+    for neig, delta in ((1, 1e-4), (5, 1e-8)):
+        built.clear()
+        _, report = solve(a, neig, delta=delta, seed=0)
+        counts.append(len(built))
+        mvps.append(report.mvp)
+    assert mvps[1] > 2 * mvps[0]
+    assert counts[0] == counts[1] <= 2
 
 
 class TestFreshAccept:
