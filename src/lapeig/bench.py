@@ -15,6 +15,7 @@ import numpy as np
 
 from .dacg import dacg_smallest
 from .graphs import (
+    EdgeList,
     build_laplacian,
     connected_components,
     largest_component,
@@ -106,14 +107,17 @@ def run_graph(edges, config):
     remaining solvers still run.  A solver that claims convergence but
     whose pairs fail independent residual recomputation aborts the run.
     """
-    ncomp, _ = connected_components(edges)
-    if ncomp != 1:
-        if not config.allow_disconnected:
-            raise ValueError(
-                f"graph has {ncomp} components; pass allow_disconnected to "
-                "keep the largest one"
-            )
-        edges, _ = largest_component(edges)
+    n, m = edges.n_nodes, edges.m
+    if config.allow_disconnected:
+        # search only the nodes on an edge, renumbered in order: O(m), same component kept
+        nodes, ends = np.unique(np.concatenate([edges.i, edges.j]), return_inverse=True)
+        edges, _ = largest_component(EdgeList(max(nodes.size, 1), ends[:m], ends[m:], edges.w))
+    else:
+        # more nodes than edges + 1 is disconnected: known before any O(n) array
+        ncomp = f"at least {n - m}" if n > m + 1 else connected_components(edges)[0]
+        if ncomp != 1:
+            raise ValueError(f"graph has {n} nodes, {m} edges and {ncomp} components; "
+                             "pass allow_disconnected to keep the largest one")
     a = build_laplacian(edges)
     neig = min(int(config.neig), a.n - 1)
     if neig < 1:

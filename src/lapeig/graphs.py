@@ -4,10 +4,14 @@ Graphs are stored as canonical edge lists (i < j, lexicographically
 sorted, strictly positive weights, no self-loops, no duplicates).  The
 Laplacian L = D - A keeps every diagonal entry explicitly, so its
 stored nonzero count is n + 2m.
+
+Both readers take the file in one pass over whole arrays: numpy counts
+the fields of each line, one split and one map per column make arrays
+of them, and every row check is a vectorized mask.  A line number is
+worked out only when an error names it, for the first failing row.
 """
 
-import io
-import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,9 +44,8 @@ class EdgeList:
 
     def __init__(self, n_nodes, i, j, w):
         n_nodes = int(n_nodes)
-        i = np.asarray(i, dtype=np.int64).copy()
-        j = np.asarray(j, dtype=np.int64).copy()
-        w = np.asarray(w, dtype=np.float64).copy()
+        i, j = np.array(i, dtype=np.int64), np.array(j, dtype=np.int64)
+        w = np.array(w, dtype=np.float64)
         if n_nodes < 1:
             raise ValueError("graph needs at least one node")
         if not (i.shape == j.shape == w.shape) or i.ndim != 1:
@@ -50,24 +53,14 @@ class EdgeList:
         if i.size:
             if i.min() < 0 or j.min() < 0 or i.max() >= n_nodes or j.max() >= n_nodes:
                 raise ValueError("node index out of range")
-            if np.any(i == j):
-                k = int(np.flatnonzero(i == j)[0])
-                raise ValueError(f"self-loop at node {i[k]}")
-            bad = ~np.isfinite(w)
-            if np.any(bad):
-                k = int(np.flatnonzero(bad)[0])
-                raise ValueError(f"non-finite weight {w[k]} on edge ({i[k]}, {j[k]})")
-            if np.any(w <= 0):
-                k = int(np.flatnonzero(w <= 0)[0])
-                raise ValueError(f"nonpositive weight {w[k]} on edge ({i[k]}, {j[k]})")
-            swap = i > j
-            i[swap], j[swap] = j[swap], i[swap]
-            order = np.lexsort((j, i))
-            i, j, w = i[order], j[order], w[order]
-            dup = (np.diff(i) == 0) & (np.diff(j) == 0)
-            if np.any(dup):
-                k = int(np.flatnonzero(dup)[0])
-                raise ValueError(f"duplicate edge ({i[k]}, {j[k]})")
+            i, j, w, _, dup = _canonical(i, j, w)
+            for bad, say in ((i == j, "self-loop at node {i}"),
+                             (~np.isfinite(w), "non-finite weight {w} on edge ({i}, {j})"),
+                             (~(w > 0), "nonpositive weight {w} on edge ({i}, {j})"),
+                             (dup, "duplicate edge ({i}, {j})")):
+                if np.any(bad):
+                    k = int(np.argmax(bad))
+                    raise ValueError(say.format(i=i[k], j=j[k], w=w[k]))
         self.n_nodes = n_nodes
         self.i, self.j, self.w = i, j, w
         for arr in (self.i, self.j, self.w):
@@ -77,9 +70,7 @@ class EdgeList:
     def from_pairs(cls, n_nodes, triples):
         """Build from an iterable of (i, j, weight) tuples."""
         triples = list(triples)
-        if not triples:
-            return cls(n_nodes, [], [], [])
-        i, j, w = zip(*triples)
+        i, j, w = zip(*triples) if triples else ((), (), ())
         return cls(n_nodes, i, j, w)
 
     @property
@@ -90,6 +81,19 @@ class EdgeList:
         return list(zip(self.i.tolist(), self.j.tolist(), self.w.tolist()))
 
 
+def _canonical(i, j, w):
+    """The pairs as i < j in lexicographic order with their weights, the
+    permutation applied (None when they already were in strictly
+    increasing order), and the mask of pairs equal to the one before."""
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    step = np.diff(i)
+    if np.all((step > 0) | ((step == 0) & (np.diff(j) > 0))):
+        return i, j, w, None, np.zeros(step.size, dtype=bool)
+    order = np.lexsort((j, i))
+    i, j = i[order], j[order]
+    return i, j, w[order], order, (np.diff(i) == 0) & (np.diff(j) == 0)
+
+
 @dataclass(frozen=True)
 class GraphStats:
     n: int
@@ -98,87 +102,106 @@ class GraphStats:
     components: int
 
 
-def _merge_triples(n, raw, symmetrize, lines):
-    """Canonicalize raw (i, j, w) triples collected from a file.
-
-    raw entries may name either endpoint first.  Without symmetrize any
-    repeated unordered pair is an error (reported with its line
-    number); with symmetrize repeats collapse to the maximum weight, so
-    a directed file yields max(w_uv, w_vu).
-    """
-    ii = np.array([t[0] for t in raw], dtype=np.int64)
-    jj = np.array([t[1] for t in raw], dtype=np.int64)
-    ww = np.array([t[2] for t in raw], dtype=np.float64)
-    lo = np.minimum(ii, jj)
-    hi = np.maximum(ii, jj)
-    order = np.lexsort((hi, lo))
-    lo, hi, ww = lo[order], hi[order], ww[order]
-    lines = [lines[k] for k in order]
-    if lo.size > 1:
-        dup = (np.diff(lo) == 0) & (np.diff(hi) == 0)
-        if np.any(dup) and not symmetrize:
-            k = int(np.flatnonzero(dup)[0]) + 1
-            raise GraphFormatError(
-                f"duplicate edge ({lo[k]}, {hi[k]}); pass symmetrize to merge", lines[k]
-            )
-        if np.any(dup):
-            keep = np.concatenate(([True], ~dup))
-            group = np.cumsum(keep) - 1
-            merged = np.zeros(int(group[-1]) + 1)
-            np.maximum.at(merged, group, ww)
-            lo, hi, ww = lo[keep], hi[keep], merged
-    return EdgeList(n, lo, hi, ww)
+def _table(data, comment, repl):
+    """data with each comment replaced by repl, the 1-based number and
+    field count of each line holding a field, then the fields, one object each."""
+    data = re.sub(comment, repl, data)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    space = buf == 32
+    space |= buf - 9 < 5  # bytes.split() splits on \t\n\v\f\r and space
+    starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))  # field starts
+    heads = np.concatenate(([0], np.flatnonzero(buf[:-1] == 10) + 1))  # line starts
+    counts = np.diff(np.searchsorted(starts, heads), append=starts.size)
+    rows = np.flatnonzero(counts)
+    del space, starts, heads  # before the fields take their memory
+    return data, rows + 1, counts[rows], data.split()
 
 
-def _parse_edge_list(lines_iter, symmetrize):
-    n = None
-    raw = []
-    raw_lines = []
-    for lineno, line in enumerate(lines_iter, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        fields = text.split()
-        if n is None:
-            if len(fields) != 1:
-                raise GraphFormatError("expected a single node count on the first line", lineno)
-            try:
-                n = int(fields[0])
-            except ValueError:
-                raise GraphFormatError(f"bad node count {fields[0]!r}", lineno) from None
-            if n < 1:
-                raise GraphFormatError("node count must be positive", lineno)
-            continue
-        if len(fields) != 3:
-            raise GraphFormatError(f"expected 'i j w', got {text!r}", lineno)
+def _columns(tokens, skip, counts, parsers):
+    """One array per field of the rows after the first skip tokens, up to
+    the first row whose field count is not len(parsers), and the mask of
+    those rows whose fields parse.  A column is one map over its tokens
+    until that fails; then each token is parsed alone."""
+    width = len(parsers)
+    cut = int(np.argmax(counts != width)) if np.any(counts != width) else counts.size
+    ok, columns = np.ones(cut, dtype=bool), []
+    for k, parse in enumerate(parsers):
+        fields = tokens[skip + k:skip + width * cut:width]
+        dtype = np.int64 if parse is int else np.float64
         try:
-            a, b, wt = int(fields[0]), int(fields[1]), float(fields[2])
-        except ValueError:
-            raise GraphFormatError(f"could not parse edge {text!r}", lineno) from None
-        if not (0 <= a < n and 0 <= b < n):
-            raise GraphFormatError(f"node index out of range in {text!r}", lineno)
-        if a == b:
-            raise GraphFormatError(f"self-loop at node {a}", lineno)
-        if not math.isfinite(wt):
-            raise GraphFormatError(f"non-finite weight {wt}", lineno)
-        if not wt > 0:
-            raise GraphFormatError(f"nonpositive weight {wt}", lineno)
-        raw.append((a, b, wt))
-        raw_lines.append(lineno)
-    if n is None:
+            columns.append(np.fromiter(map(parse, fields), dtype, cut))
+        except (ValueError, OverflowError):  # an integer past int64 does not parse
+            columns.append(np.zeros(cut, dtype))
+            for r, field in enumerate(fields):
+                try:
+                    columns[-1][r] = parse(field)
+                except (ValueError, OverflowError):
+                    ok[r] = False
+    return columns, ok
+
+
+def _check_rows(rows, checks):
+    """Raise for the first failing row in file order, naming its line.
+    checks are (mask, message of row k) pairs in the order one row is
+    checked; a mask may stop short of the last rows."""
+    failed = np.zeros(rows.size, dtype=bool)
+    for mask, _ in checks:
+        failed[:mask.size] |= mask
+    if np.any(failed):
+        k = int(np.argmax(failed))
+        message = next(say(k) for mask, say in checks if k < mask.size and mask[k])
+        raise GraphFormatError(message, int(rows[k]))
+
+
+def _merge_rows(n, i, j, w, symmetrize, rows):
+    """Canonical EdgeList of parsed rows, i and j in either order.  Without
+    symmetrize a repeated unordered pair is an error naming the line of its
+    second row; with it, repeats collapse to the maximum weight, so a
+    directed file yields max(w_uv, w_vu)."""
+    lo, hi, w, order, dup = _canonical(i, j, w)
+    if np.any(dup) and not symmetrize:
+        k = int(np.argmax(dup)) + 1
+        raise GraphFormatError(f"duplicate edge ({lo[k]}, {hi[k]}); pass symmetrize "
+                               "to merge", int(rows[order[k]]))
+    if np.any(dup):
+        keep = np.concatenate(([True], ~dup))
+        lo, hi, w = lo[keep], hi[keep], np.maximum.reduceat(w, np.flatnonzero(keep))
+    return EdgeList(n, lo, hi, w)
+
+
+def _quote(data, line):
+    """Line `line` of data, as an error message quotes it."""
+    return data.split(b"\n")[line - 1].strip().decode()
+
+
+def _parse_edge_list(data, symmetrize):
+    data, rows, counts, tokens = _table(data, rb"#[^\n]*", b"")
+    if not rows.size:
         raise GraphFormatError("empty input, no node count found")
-    if not raw:
-        return EdgeList(n, [], [], [])
-    return _merge_triples(n, raw, symmetrize, raw_lines)
+    (n,), ok = _columns(tokens, 0, counts[:1], (int,))
+    _check_rows(rows[:1], [
+        (counts[:1] != 1, lambda k: "expected a single node count on the first line"),
+        (~ok, lambda k: f"bad node count {tokens[0].decode()!r}"),
+        (n < 1, lambda k: "node count must be positive"),
+    ])
+    n, rows, counts = int(n[0]), rows[1:], counts[1:]
+    (a, b, w), ok = _columns(tokens, 1, counts, (int, int, float))
+    del tokens  # one object per field: drop them once the columns are built
+    _check_rows(rows, [
+        (counts != 3, lambda k: f"expected 'i j w', got {_quote(data, rows[k])!r}"),
+        (~ok, lambda k: f"could not parse edge {_quote(data, rows[k])!r}"),
+        ((a < 0) | (a >= n) | (b < 0) | (b >= n),
+         lambda k: f"node index out of range in {_quote(data, rows[k])!r}"),
+        (a == b, lambda k: f"self-loop at node {a[k]}"),
+        (~np.isfinite(w), lambda k: f"non-finite weight {float(w[k])}"),
+        (~(w > 0), lambda k: f"nonpositive weight {float(w[k])}"),
+    ])
+    return _merge_rows(n, a, b, w, symmetrize, rows)
 
 
-def _parse_matrix_market(lines_iter, symmetrize):
-    header = None
-    lineno = 0
-    for lineno, line in enumerate(lines_iter, start=1):
-        header = line.strip()
-        break
-    if not header or not header.startswith("%%MatrixMarket"):
+def _parse_matrix_market(data, symmetrize):
+    header = data.split(b"\n", 1)[0].decode().strip()
+    if not header.startswith("%%MatrixMarket"):
         raise GraphFormatError("missing %%MatrixMarket header", 1)
     tokens = header.lower().split()
     if len(tokens) != 5 or tokens[1] != "matrix" or tokens[2] != "coordinate":
@@ -188,59 +211,40 @@ def _parse_matrix_market(lines_iter, symmetrize):
         raise GraphFormatError(f"unsupported field type {field!r}", 1)
     if symmetry not in ("symmetric", "general"):
         raise GraphFormatError(f"unsupported symmetry {symmetry!r}", 1)
-    want = 2 if field == "pattern" else 3
-    size = None
-    raw = []
-    raw_lines = []
-    count = 0
-    for lineno, line in enumerate(lines_iter, start=lineno + 1):
-        text = line.strip()
-        if not text or text.startswith("%"):
-            continue
-        fields = text.split()
-        if size is None:
-            if len(fields) != 3:
-                raise GraphFormatError("expected 'rows cols nnz'", lineno)
-            try:
-                rows, cols, nnz = (int(f) for f in fields)
-            except ValueError:
-                raise GraphFormatError(f"bad size line {text!r}", lineno) from None
-            if rows != cols:
-                raise GraphFormatError(f"matrix is {rows}x{cols}, not square", lineno)
-            if rows < 1:
-                raise GraphFormatError("matrix must have at least one row", lineno)
-            size = (rows, nnz)
-            continue
-        if len(fields) != want:
-            raise GraphFormatError(f"expected {want} fields, got {text!r}", lineno)
-        try:
-            a, b = int(fields[0]), int(fields[1])
-            wt = float(fields[2]) if want == 3 else 1.0
-        except ValueError:
-            raise GraphFormatError(f"could not parse entry {text!r}", lineno) from None
-        count += 1
-        if not (1 <= a <= size[0] and 1 <= b <= size[0]):
-            raise GraphFormatError(f"index out of range in {text!r}", lineno)
-        if not math.isfinite(wt):
-            raise GraphFormatError(f"non-finite value {wt}", lineno)
-        if a == b:
-            continue  # diagonal of an adjacency-style matrix carries no edge
-        wt = abs(wt)
-        if wt == 0.0:
-            raise GraphFormatError("explicit zero off-diagonal entry", lineno)
-        raw.append((a - 1, b - 1, wt))
-        raw_lines.append(lineno)
-    if size is None:
+    # after line 1, a line whose first field starts with % is a comment
+    data, rows, counts, tokens = _table(data, rb"\n[ \t\r\x0b\x0c]*%[^\n]*", b"\n")
+    skip, rows, counts = counts[0], rows[1:], counts[1:]
+    if not rows.size:
         raise GraphFormatError("missing size line")
-    if count != size[1]:
-        raise GraphFormatError(f"header promised {size[1]} entries, found {count}")
-    if not raw:
-        return EdgeList(size[0], [], [], [])
-    return _merge_triples(size[0], raw, symmetrize, raw_lines)
+    (size, cols, nnz), ok = _columns(tokens, skip, counts[:1], (int, int, int))
+    _check_rows(rows[:1], [
+        (counts[:1] != 3, lambda k: "expected 'rows cols nnz'"),
+        (~ok, lambda k: f"bad size line {_quote(data, rows[0])!r}"),
+        (size != cols, lambda k: f"matrix is {size[0]}x{cols[0]}, not square"),
+        (size < 1, lambda k: "matrix must have at least one row"),
+    ])
+    size, nnz, rows, counts = int(size[0]), int(nnz[0]), rows[1:], counts[1:]
+    parsers = (int, int) if field == "pattern" else (int, int, float)
+    (a, b, *w), ok = _columns(tokens, skip + 3, counts, parsers)
+    del tokens
+    w = w[0] if w else np.ones(a.size)
+    _check_rows(rows, [
+        (counts != len(parsers),
+         lambda k: f"expected {len(parsers)} fields, got {_quote(data, rows[k])!r}"),
+        (~ok, lambda k: f"could not parse entry {_quote(data, rows[k])!r}"),
+        ((a < 1) | (a > size) | (b < 1) | (b > size),
+         lambda k: f"index out of range in {_quote(data, rows[k])!r}"),
+        (~np.isfinite(w), lambda k: f"non-finite value {float(w[k])}"),
+        ((a != b) & (w == 0), lambda k: "explicit zero off-diagonal entry"),
+    ])
+    if rows.size != nnz:
+        raise GraphFormatError(f"header promised {nnz} entries, found {rows.size}")
+    off = a != b  # the diagonal of an adjacency-style matrix carries no edge
+    return _merge_rows(size, a[off] - 1, b[off] - 1, np.abs(w[off]), symmetrize, rows[off])
 
 
 def load_edge_list(source, format="edgelist", symmetrize=False):
-    """Read a graph from a path or open text stream.
+    """Read a graph from a path, bytes or an open text stream.
 
     format is "edgelist" (first line n, then 'i j w' lines, # comments)
     or "mtx" (Matrix Market coordinate; diagonal entries are dropped,
@@ -248,14 +252,16 @@ def load_edge_list(source, format="edgelist", symmetrize=False):
     """
     if format not in ("edgelist", "mtx"):
         raise ValueError(f"unknown format {format!r}")
-    parser = _parse_edge_list if format == "edgelist" else _parse_matrix_market
+    # text mode reads any line end as \n, as the stream of an open file does
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return parser(fh, symmetrize)
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-        return parser(io.StringIO(source), symmetrize)
-    return parser(source, symmetrize)
+        data = Path(source).read_text(encoding="utf-8").encode()
+    elif isinstance(source, bytes):
+        source.decode("utf-8")  # reject what is not UTF-8, as a file read would
+        data = source
+    else:
+        data = source.read().encode()
+    parser = _parse_edge_list if format == "edgelist" else _parse_matrix_market
+    return parser(data, symmetrize)
 
 
 def build_laplacian(g):
@@ -302,12 +308,9 @@ def largest_component(g):
     Returns (subgraph, node_map) where node_map[v] is the new index of
     v, or -1 for dropped nodes.
     """
-    count, labels = connected_components(g)
-    sizes = np.bincount(labels, minlength=count)
-    keep_label = int(np.argmax(sizes))
-    keep = labels == keep_label
-    node_map = np.full(g.n_nodes, -1, dtype=np.int64)
-    node_map[keep] = np.arange(int(keep.sum()))
+    labels = connected_components(g)[1]
+    keep = labels == np.argmax(np.bincount(labels))
+    node_map = np.where(keep, np.cumsum(keep) - 1, -1)
     mask = keep[g.i]
     sub = EdgeList(int(keep.sum()), node_map[g.i[mask]], node_map[g.j[mask]], g.w[mask])
     return sub, node_map
@@ -327,13 +330,12 @@ def csr_connected_components(a):
 
 def write_matrix_market(a, stream=None):
     """Serialize a symmetric CsrMatrix in coordinate format (lower triangle)."""
-    own = stream is None
-    out = io.StringIO() if own else stream
     rows = np.repeat(np.arange(a.n), np.diff(a.row_ptr))
     lower = a.col_idx <= rows
-    out.write("%%MatrixMarket matrix coordinate real symmetric\n")
-    out.write(f"{a.n} {a.n} {int(lower.sum())}\n")
-    for i, j, v in zip((rows[lower] + 1).tolist(), (a.col_idx[lower] + 1).tolist(),
-                       a.values[lower].tolist()):
-        out.write(f"{i} {j} {v!r}\n")
-    return out.getvalue() if own else None
+    entries = zip((rows[lower] + 1).tolist(), (a.col_idx[lower] + 1).tolist(),
+                  a.values[lower].tolist())
+    text = (f"%%MatrixMarket matrix coordinate real symmetric\n{a.n} {a.n} {int(lower.sum())}\n"
+            + "".join(f"{i} {j} {v!r}\n" for i, j, v in entries))
+    if stream is None:
+        return text
+    stream.write(text)

@@ -8,7 +8,7 @@ spmv, that ticks a shared counter.
 """
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import coo_array, csr_array
 
 
 class MvpCounter:
@@ -56,14 +56,9 @@ class CsrMatrix:
             raise ValueError("col_idx and values must match row_ptr[-1] in length")
         if nnz and (col_idx.min() < 0 or col_idx.max() >= n):
             raise ValueError("column index out of range")
-        if nnz > 1:
-            jumps = np.diff(col_idx)
-            # positions ending a row are exempt from the ordering check
-            interior = np.ones(nnz - 1, dtype=bool)
-            ends = row_ptr[1:-1]
-            interior[ends[(ends > 0) & (ends < nnz)] - 1] = False
-            if np.any(jumps[interior] <= 0):
-                raise ValueError("column indices must increase strictly within each row")
+        csr = csr_array((values, col_idx, row_ptr), shape=(n, n))
+        if not csr.has_canonical_format:
+            raise ValueError("column indices must increase strictly within each row")
         self.n = n
         self.row_ptr = row_ptr
         self.col_idx = col_idx
@@ -71,7 +66,7 @@ class CsrMatrix:
         self.symmetric = bool(symmetric)
         for arr in (self.row_ptr, self.col_idx, self.values):
             arr.setflags(write=False)
-        self.csr = csr_array((values, col_idx, row_ptr), shape=(n, n))
+        self.csr = csr
 
     @property
     def nnz(self):
@@ -87,17 +82,16 @@ class CsrMatrix:
             raise ValueError("rows, cols and vals must be 1-D arrays of equal length")
         if rows.size and (rows.min() < 0 or rows.max() >= n):
             raise ValueError("row index out of range")
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if rows.size > 1:
-            same = (np.diff(rows) == 0) & (np.diff(cols) == 0)
-            if np.any(same):
-                k = int(np.flatnonzero(same)[0])
-                raise ValueError(f"duplicate entry at ({rows[k]}, {cols[k]})")
-        row_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(row_ptr, rows + 1, 1)
-        np.cumsum(row_ptr, out=row_ptr)
-        return cls(n, row_ptr, cols, vals, symmetric=symmetric)
+        if cols.size and (cols.min() < 0 or cols.max() >= n):
+            raise ValueError("column index out of range")
+        # scipy sorts each row and sums repeats, so a repeat shortens the result
+        csr = coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+        if csr.nnz < rows.size:
+            order = np.lexsort((cols, rows))
+            rows, cols = rows[order], cols[order]
+            k = int(np.flatnonzero((np.diff(rows) == 0) & (np.diff(cols) == 0))[0])
+            raise ValueError(f"duplicate entry at ({rows[k]}, {cols[k]})")
+        return cls(n, csr.indptr, csr.indices, csr.data, symmetric=symmetric)
 
     @classmethod
     def identity(cls, n):

@@ -86,6 +86,26 @@ class TestRunGraph:
         # path P3 spectrum
         assert reports[0].eigenvalues[0] == pytest.approx(1.0, abs=1e-6)
 
+    def test_hostile_node_count_is_refused_before_any_node_array(self):
+        # 2**62 nodes and two edges: certainly disconnected, and any array of
+        # n entries would be refused outright, so reaching one fails here
+        from lapeig.graphs import EdgeList
+
+        g = EdgeList(2**62, [0, 1], [1, 2], [1.0, 1.0])
+        with pytest.raises(ValueError, match=f"{2**62} nodes, 2 edges") as err:
+            run_graph(g, RunConfig())
+        assert "allow_disconnected" in str(err.value)
+
+    def test_hostile_node_count_optin_keeps_the_edges(self):
+        # the component search runs on the three nodes that carry an edge
+        from lapeig.graphs import EdgeList
+
+        g = EdgeList(2**62, [5, 2**61], [2**61, 2**62 - 1], [1.0, 1.0])
+        reports = run_graph(
+            g, RunConfig(solver="jd", neig=1, allow_disconnected=True))
+        assert (reports[0].config["n"], reports[0].config["m"]) == (3, 2)
+        assert reports[0].eigenvalues[0] == pytest.approx(1.0, abs=1e-6)
+
     def test_solver_failure_is_isolated(self, monkeypatch):
         from lapeig.results import SolverError
 
@@ -271,6 +291,12 @@ class TestCliMain:
         g.write_text("4\n0 1 1.0\n2 3 1.0\n")
         assert main(["--input", str(g)]) == 3
         assert "components" in capsys.readouterr().err
+
+    def test_hostile_node_count_exits_3(self, tmp_path, capsys):
+        g = tmp_path / "huge.txt"
+        g.write_text(f"{2**62}\n0 1 1.0\n")
+        assert main(["--input", str(g), "--neig", "1"]) == 3
+        assert f"graph has {2**62} nodes, 1 edges" in capsys.readouterr().err
 
     def test_disconnected_optin_succeeds(self, tmp_path, capsys):
         g = tmp_path / "two.txt"

@@ -1,6 +1,8 @@
 """Graph loading, Laplacian assembly, components, and stats."""
 
 import io
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +49,20 @@ class TestEdgeList:
         with pytest.raises(ValueError, match="non-finite weight"):
             EdgeList(3, [0, 1], [1, 2], [1.0, bad])
 
+    def test_canonical_input_skips_the_sort(self, monkeypatch):
+        pairs = [(0, 2, 1.0), (1, 2, 2.0), (1, 3, 0.5)]
+        want = EdgeList.from_pairs(4, pairs[::-1])
+
+        def no_sort(keys):
+            raise AssertionError("canonical edges were sorted again")
+
+        monkeypatch.setattr(np, "lexsort", no_sort)
+        got = EdgeList.from_pairs(4, pairs)
+        for name in ("i", "j", "w"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        with pytest.raises(AssertionError, match="sorted again"):
+            EdgeList.from_pairs(4, pairs[::-1])
+
     def test_from_pairs_empty(self):
         g = EdgeList.from_pairs(2, [])
         assert g.m == 0 and g.n_nodes == 2
@@ -91,6 +107,58 @@ class TestEdgeListParser:
         assert err.value.line == 3
         g = load_edge_list(blob, symmetrize=True)
         assert g.pairs() == [(0, 1, 4.0)]  # max weight wins
+
+
+    def test_integers_past_int64_do_not_parse(self):
+        # int() reads them, but no node index or count that large fits the arrays
+        with pytest.raises(GraphFormatError, match="could not parse edge") as err:
+            load_edge_list(f"3\n0 1 1.0\n{2**64} 1 1.0\n".encode())
+        assert err.value.line == 3
+        with pytest.raises(GraphFormatError, match="bad node count") as err:
+            load_edge_list(f"{2**63}\n0 1 1.0\n".encode())
+        assert err.value.line == 1
+        mtx = f"%%MatrixMarket matrix coordinate pattern general\n{2**63} {2**63} 1\n2 1\n"
+        with pytest.raises(GraphFormatError, match="bad size line") as err:
+            load_edge_list(mtx.encode(), format="mtx")
+        assert err.value.line == 2
+
+
+class TestHeaderOnlyInputs:
+    @pytest.mark.parametrize("blob, fmt, n", [
+        (b"5\n", "edgelist", 5),
+        (b"# nothing but a node count\n\n  7  # trailing\n\n", "edgelist", 7),
+        (b"%%MatrixMarket matrix coordinate real symmetric\n4 4 0\n", "mtx", 4),
+        (b"%%MatrixMarket matrix coordinate pattern general\n% none\n3 3 0", "mtx", 3),
+    ])
+    def test_edgeless_graph_and_no_warning(self, blob, fmt, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = load_edge_list(blob, format=fmt)
+        assert (g.n_nodes, g.m) == (n, 0)
+        assert g.i.dtype == np.int64 and g.w.dtype == np.float64
+
+
+class TestReaderScaling:
+    def test_peak_memory_stays_below_per_line_tuples(self, tmp_path):
+        # 200,000 edges in a 6 MB file.  The line-by-line reader, with a
+        # tuple of Python numbers per edge, peaked at 60.6 MB under
+        # tracemalloc; the whole-array reader peaks at 46.4 MB (one bytes
+        # object per field, dropped once the columns are built).
+        n = 50_000
+        i = np.tile(np.arange(n), 4)
+        j = (i + np.repeat(np.arange(1, 5), n)) % n
+        w = np.random.default_rng(0).random(i.size) + 0.5
+        path = tmp_path / "ring4.txt"
+        path.write_text(f"{n}\n" + "".join(
+            f"{a} {b} {c!r}\n" for a, b, c in zip(i.tolist(), j.tolist(), w.tolist())))
+        tracemalloc.start()
+        try:
+            g = load_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.m == 200_000
+        assert peak < 52_000_000
 
 
 class TestMatrixMarketParser:

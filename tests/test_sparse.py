@@ -8,6 +8,15 @@ import pytest
 from lapeig.sparse import CsrMatrix, MvpCounter, spmv
 
 
+def reference_from_coo(n, rows, cols, vals):
+    """CSR arrays by a lexicographic sort of the triplets: what from_coo
+    must give bit for bit."""
+    order = np.lexsort((cols, rows))
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(row_ptr, rows + 1, 1)
+    return np.cumsum(row_ptr), cols[order], vals[order]
+
+
 def small_csr():
     # [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
     return CsrMatrix(
@@ -45,8 +54,29 @@ class TestCsrMatrix:
         assert np.array_equal(a.toarray(), [[1.0, 0.0], [2.0, 3.0]])
 
     def test_from_coo_rejects_duplicates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"duplicate entry at \(0, 1\)"):
             CsrMatrix.from_coo(2, [0, 0], [1, 1], [1.0, 2.0])
+
+    def test_from_coo_matches_a_sort_bit_for_bit(self, rng):
+        # shuffled entries with explicit zeros and empty rows
+        for n in (1, 7, 60):
+            dense = rng.standard_normal((n, n))
+            dense[rng.random((n, n)) > 0.4] = 0.0
+            rows, cols = np.nonzero((dense != 0) | np.eye(n, dtype=bool))
+            perm = rng.permutation(rows.size)
+            rows, cols = rows[perm], cols[perm]
+            vals = dense[rows, cols]
+            a = CsrMatrix.from_coo(n, rows, cols, vals)
+            for got, want in zip((a.row_ptr, a.col_idx, a.values),
+                                 reference_from_coo(n, rows, cols, vals)):
+                assert got.tobytes() == want.astype(got.dtype).tobytes()
+
+    def test_rejects_unsorted_or_repeated_columns(self):
+        for cols in ([1, 0], [0, 0]):
+            with pytest.raises(ValueError, match="increase strictly"):
+                CsrMatrix(2, [0, 2, 2], cols, [1.0, 1.0])
+        # the order restarts at each row
+        assert CsrMatrix(2, [0, 1, 2], [1, 0], [1.0, 1.0]).nnz == 2
 
     def test_identity_and_diagonal(self):
         eye = CsrMatrix.identity(4)
