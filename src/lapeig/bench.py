@@ -7,6 +7,7 @@ fixed seed makes eigenvalues and product counts bit-reproducible.
 """
 
 import csv
+import inspect
 import io
 import time
 from dataclasses import asdict, dataclass
@@ -27,7 +28,8 @@ from .jd import jd_smallest
 from .results import SolverError, SolverReport, rayleigh_residuals
 from .sparse import MvpCounter
 
-SOLVER_ORDER = ("dacg", "jd", "irlm")
+# the one map from solver names to solvers, in the order reports list them
+SOLVERS = {"dacg": dacg_smallest, "jd": jd_smallest, "irlm": irlm_smallest}
 
 CSV_COLUMNS = (
     "solver",
@@ -43,7 +45,11 @@ CSV_COLUMNS = (
 
 @dataclass
 class RunConfig:
-    """Everything one benchmark invocation depends on, seed included."""
+    """Everything one benchmark invocation depends on, seed included.
+
+    A solver setting left None takes the default in the solver's own
+    signature.
+    """
 
     input: str | None = None
     format: str = "edgelist"
@@ -52,9 +58,9 @@ class RunConfig:
     neig: int = 5
     delta: float = 1e-6
     delta_pcg: float | None = None
-    itmax_inner: int = 20
-    m_min: int = 5
-    m_max: int = 10
+    itmax_inner: int | None = None
+    m_min: int | None = None
+    m_max: int | None = None
     ncv: int | None = None
     seed: int = 0
     report: str = "table"
@@ -63,40 +69,19 @@ class RunConfig:
 
     def selection(self):
         if self.solver == "all":
-            return SOLVER_ORDER
-        if self.solver not in SOLVER_ORDER:
+            return tuple(SOLVERS)
+        if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
         return (self.solver,)
 
 
 def _run_one(name, a, neig, f, config, counter):
-    if name == "dacg":
-        return dacg_smallest(
-            a, neig, delta=config.delta, f=f, seed=config.seed, counter=counter
-        )
-    if name == "jd":
-        return jd_smallest(
-            a,
-            neig,
-            delta=config.delta,
-            delta_pcg=1e-2 if config.delta_pcg is None else config.delta_pcg,
-            itmax_inner=config.itmax_inner,
-            m_min=config.m_min,
-            m_max=config.m_max,
-            f=f,
-            seed=config.seed,
-            counter=counter,
-        )
-    return irlm_smallest(
-        a,
-        neig,
-        ncv=config.ncv,
-        delta=config.delta,
-        delta_pcg=config.delta_pcg,
-        f=f,
-        seed=config.seed,
-        counter=counter,
-    )
+    """Call the named solver with every set config field it takes."""
+    solve = SOLVERS[name]
+    takes = inspect.signature(solve).parameters
+    settings = {key: value for key, value in asdict(config).items()
+                if key in takes and key != "neig" and value is not None}
+    return solve(a, neig, f=f, counter=counter, **settings)
 
 
 def run_graph(edges, config):
@@ -204,10 +189,8 @@ def emit_report(reports, format="table"):
     """
     if not reports:
         raise ValueError("no reports to emit")
-    reports = sorted(
-        reports, key=lambda r: SOLVER_ORDER.index(r.solver)
-        if r.solver in SOLVER_ORDER else len(SOLVER_ORDER)
-    )
+    rank = {name: k for k, name in enumerate(SOLVERS)}
+    reports = sorted(reports, key=lambda r: rank.get(r.solver, len(rank)))
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -6,12 +6,14 @@ failed or was caught misreporting, 3 the input could not be used.
 
 import argparse
 import sys
+from dataclasses import asdict
 
-from .bench import RunConfig, emit_report, emit_spectrum, run
+from .bench import SOLVERS, RunConfig, emit_report, emit_spectrum, run
 from .graphs import GraphFormatError
 
 
 def build_parser():
+    """The lapeig-bench flags; every default comes from RunConfig."""
     parser = argparse.ArgumentParser(
         prog="lapeig-bench",
         description=(
@@ -23,7 +25,6 @@ def build_parser():
     parser.add_argument(
         "--format",
         choices=("edgelist", "mtx"),
-        default="edgelist",
         help="input syntax: whitespace edge list or Matrix Market",
     )
     parser.add_argument(
@@ -33,35 +34,34 @@ def build_parser():
     )
     parser.add_argument(
         "--solver",
-        choices=("dacg", "jd", "irlm", "all"),
-        default="all",
+        choices=(*SOLVERS, "all"),
         help="which eigensolver(s) to run",
     )
-    parser.add_argument("--neig", type=int, default=5,
+    parser.add_argument("--neig", type=int,
                         help="number of smallest positive eigenpairs")
-    parser.add_argument("--tol", type=float, default=1e-6,
+    parser.add_argument("--tol", dest="delta", type=float, metavar="TOL",
                         help="relative residual exit tolerance")
     parser.add_argument(
         "--pcg-tol",
+        dest="delta_pcg",
         type=float,
-        default=None,
-        help="inner solve tolerance; default 1e-2 for jd, 1e-2*tol for irlm",
+        metavar="PCG_TOL",
+        help="inner solve tolerance for jd and irlm; default: each solver's own",
     )
-    parser.add_argument("--itmax-inner", type=int, default=20,
+    parser.add_argument("--itmax-inner", type=int,
                         help="inner iteration cap for the jd correction solve")
-    parser.add_argument("--mmin", type=int, default=5,
+    parser.add_argument("--mmin", dest="m_min", type=int, metavar="MMIN",
                         help="jd subspace size kept at restart")
-    parser.add_argument("--mmax", type=int, default=10,
+    parser.add_argument("--mmax", dest="m_max", type=int, metavar="MMAX",
                         help="jd subspace size triggering restart")
-    parser.add_argument("--ncv", type=int, default=None,
+    parser.add_argument("--ncv", type=int,
                         help="irlm basis size; default scales with --neig")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=int,
                         help="seed for every random start (reproducible counts)")
-    parser.add_argument("--report", choices=("table", "csv"), default="table")
+    parser.add_argument("--report", choices=("table", "csv"))
     parser.add_argument(
         "--emit-spectrum",
         metavar="PATH",
-        default=None,
         help="write normalized eigenvalues lambda_j/lambda_2 to PATH",
     )
     parser.add_argument(
@@ -69,27 +69,12 @@ def build_parser():
         action="store_true",
         help="keep the largest component instead of rejecting the input",
     )
+    parser.set_defaults(**asdict(RunConfig()))
     return parser
 
 
 def config_from_args(args):
-    return RunConfig(
-        input=args.input,
-        format=args.format,
-        symmetrize=args.symmetrize,
-        solver=args.solver,
-        neig=args.neig,
-        delta=args.tol,
-        delta_pcg=args.pcg_tol,
-        itmax_inner=args.itmax_inner,
-        m_min=args.mmin,
-        m_max=args.mmax,
-        ncv=args.ncv,
-        seed=args.seed,
-        report=args.report,
-        emit_spectrum=args.emit_spectrum,
-        allow_disconnected=args.allow_disconnected,
-    )
+    return RunConfig(**vars(args))
 
 
 def main(argv=None):

@@ -223,10 +223,10 @@ class _Plan:
         return CsrMatrix(self.n, self.lptr, self.lcol, vals)
 
 
-def ic0_factorize(a, shift0=0.0, schedule=SHIFT_SCHEDULE):
+def ic0_factorize(a):
     """Incomplete Cholesky of a + alpha * diag(a) on the pattern of a.
 
-    Tries alpha = shift0 first, then walks the schedule, finishing with
+    Tries alpha = 0 first, then walks SHIFT_SCHEDULE, finishing with
     0.1 * max diagonal entry as a last resort.  Each retry repeats the
     numeric phase from scratch.  Raises Ic0Error when every shift
     fails.
@@ -235,10 +235,9 @@ def ic0_factorize(a, shift0=0.0, schedule=SHIFT_SCHEDULE):
         raise ValueError("incomplete Cholesky needs a symmetric matrix")
     diag = a.diagonal()
     dmax = float(diag.max()) if a.n else 0.0
-    shifts = [float(shift0)]
-    shifts += [s for s in schedule if s > shift0]
+    shifts = [0.0, *SHIFT_SCHEDULE]
     last = 0.1 * dmax
-    if dmax > 0 and (not shifts or last > shifts[-1]):
+    if last > shifts[-1]:
         shifts.append(last)
     plan = _Plan(a)
     for attempts, alpha in enumerate(shifts, start=1):

@@ -19,6 +19,9 @@ from .results import SolverError, fresh_accept, solver_result, solver_setup
 from .sparse import spmv
 
 _BREAKDOWN_ABS = 1e-12
+# PCG iterations per inverse-operator solve, and thick restarts per run
+_MAXIT_INNER = 5000
+_MAX_RESTARTS = 200
 
 # subspace sizes paired with eigenpair counts, interpolated in between
 _NCV_ANCHORS = ((1, 15), (5, 30), (20, 60), (50, 120))
@@ -84,8 +87,7 @@ class LanczosState:
         return h
 
 
-def inverse_lanczos_step(state, a, f, delta_pcg, null_basis, counter=None,
-                         maxit_inner=5000):
+def inverse_lanczos_step(state, a, f, delta_pcg, null_basis, counter=None):
     """Expand the pending basis vector by one inverse-operator application.
 
     Solves A w = v by deflated PCG, records the new diagonal entry
@@ -102,7 +104,7 @@ def inverse_lanczos_step(state, a, f, delta_pcg, null_basis, counter=None,
     def op(x, c):
         return spmv(a, x, c)
 
-    out = pcg_solve(op, f, v, delta_pcg, maxit_inner,
+    out = pcg_solve(op, f, v, delta_pcg, _MAXIT_INNER,
                     deflation=null_basis, counter=counter)
     state.last_inner_its = out.iterations
     if not out.converged:
@@ -200,8 +202,7 @@ def _insert_random(state, null_basis, rng):
 
 
 def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
-                  null_basis=None, *, seed=0, maxit_inner=5000,
-                  max_restarts=200, counter=None, v0=None):
+                  null_basis=None, *, seed=0, counter=None, v0=None):
     """neig smallest strictly positive eigenpairs of a, values ascending.
 
     Inner solves run at tolerance delta_pcg (default delta / 100).
@@ -227,10 +228,10 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
     inner_total = 0
     verify_total = 0
     restarts = 0
-    for _cycle in range(max_restarts + 1):
+    for _cycle in range(_MAX_RESTARTS + 1):
         while state.m < ncv_eff and not state.breakdown:
             inverse_lanczos_step(state, a, f, delta_pcg, null_basis,
-                                 counter=counter, maxit_inner=maxit_inner)
+                                 counter=counter)
             solves += 1
             inner_total += state.last_inner_its
         # a vanished residual can hide extra copies of an eigenvalue,
@@ -247,9 +248,9 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
                 f"subspace exhausted at dimension {state.m} before "
                 f"{neig} pairs reached tolerance {delta:.1e}"
             )
-        if _cycle == max_restarts:
+        if _cycle == _MAX_RESTARTS:
             raise SolverError(
-                f"no convergence after {max_restarts} restarts "
+                f"no convergence after {_MAX_RESTARTS} restarts "
                 f"(subspace {ncv_eff}, delta {delta:.1e})"
             )
         _thick_restart(state, ritz, neig, null_basis)
@@ -259,4 +260,4 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
         "irlm", delta, counter, t0, *found,
         outer_its=solves, inner_its_total=inner_total,
         mvp_outer=0, mvp_verify=verify_total, restarts=restarts, seed=seed,
-        ncv=ncv_eff, delta_pcg=delta_pcg, maxit_inner=maxit_inner)
+        ncv=ncv_eff, delta_pcg=delta_pcg, maxit_inner=_MAXIT_INNER)

@@ -24,6 +24,10 @@ from .pcg import jd_correction_solve
 from .results import SolverError, fresh_accept, solver_result, solver_setup
 from .sparse import spmv
 
+# outer iterations allowed per pair, and without a new best residual
+_MAX_OUTER_PER_PAIR = 300
+_STAGNATION_WINDOW = 60
+
 
 class JdWorkspace:
     """Search basis V after the guard, its image W = A V and H = V'AV.
@@ -102,7 +106,6 @@ class JdWorkspace:
 
 def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
                 m_min=5, m_max=10, f=None, null_basis=None, *, seed=0,
-                max_outer_per_pair=300, stagnation_window=60,
                 counter=None, v0=None):
     """neig smallest strictly positive eigenpairs of a by Jacobi-Davidson.
 
@@ -135,10 +138,10 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
     while len(locked_vals) < neig:
         pair_idx = len(locked_vals)
         outer_here += 1
-        if outer_here > max_outer_per_pair:
+        if outer_here > _MAX_OUTER_PER_PAIR:
             raise SolverError(
                 f"pair {pair_idx}: no convergence within "
-                f"{max_outer_per_pair} outer iterations "
+                f"{_MAX_OUTER_PER_PAIR} outer iterations "
                 f"(best residual {best_res:.3e})"
             )
         # once guard and search space saturate the whole space there is
@@ -195,7 +198,7 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
                 f"pair {pair_idx}: exhausted the whole space at residual "
                 f"{res:.3e} (target {delta * theta:.3e})"
             )
-        if since_best > stagnation_window:
+        if since_best > _STAGNATION_WINDOW:
             raise SolverError(
                 f"pair {pair_idx}: stagnated for {since_best} outer "
                 f"iterations at residual {best_res:.3e} "

@@ -111,10 +111,10 @@ def pcg_solve(op, precond, b, tol, maxit, deflation=None, counter=None, callback
     """Conjugate gradients for op(x) = b on the complement of the deflation basis.
 
     op has signature op(x, counter) -> y and is charged one product per
-    call.  precond is None (identity), a callable r -> z, or an object
-    with an apply method.  Neither needs to project: pcg_solve projects
-    b once and then, per iteration, the operator output and the
-    preconditioned residual, which keeps residuals, directions and
+    call.  precond is None (identity) or an object with an apply
+    method, such as an Ic0Factor.  Neither needs to project: pcg_solve
+    projects b once and then, per iteration, the operator output and
+    the preconditioned residual, which keeps residuals, directions and
     iterates in the complement.  A nonpositive curvature p' A p stops
     the iteration immediately and flags the outcome indefinite.
     """
@@ -122,12 +122,7 @@ def pcg_solve(op, precond, b, tol, maxit, deflation=None, counter=None, callback
         project = lambda v: v
     else:
         project = deflation.project_out
-    if precond is None:
-        psolve = lambda r: r
-    elif callable(precond):
-        psolve = precond
-    else:
-        psolve = precond.apply
+    psolve = (lambda r: r) if precond is None else precond.apply
     r = project(np.array(b, dtype=np.float64))
     normb = np.linalg.norm(r)
     n = r.shape[0]

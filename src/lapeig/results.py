@@ -26,14 +26,13 @@ class EigenPairSet:
 
     vectors holds one orthonormal column per value.  residuals are the
     relative residuals ||A u - theta u|| / theta measured with a fresh
-    product at acceptance time.  When includes_kernel is set the first
-    column is the constant vector with value 0.
+    product at acceptance time.  The solvers store only strictly
+    positive pairs, never the kernel.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
-    includes_kernel: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -48,23 +47,8 @@ class EigenPairSet:
         return int(self.values.shape[0])
 
     def positive(self):
-        """(values, vectors, residuals) with any kernel column dropped."""
-        if self.includes_kernel:
-            return self.values[1:], self.vectors[:, 1:], self.residuals[1:]
+        """(values, vectors, residuals), the positive pairs."""
         return self.values, self.vectors, self.residuals
-
-    def with_kernel(self):
-        """Copy with the normalized constant vector prepended."""
-        if self.includes_kernel:
-            return self
-        n = self.vectors.shape[0]
-        e = np.full((n, 1), 1.0 / np.sqrt(n))
-        return EigenPairSet(
-            values=np.concatenate(([0.0], self.values)),
-            vectors=np.hstack([e, self.vectors]),
-            residuals=np.concatenate(([0.0], self.residuals)),
-            includes_kernel=True,
-        )
 
     def gram_defect(self):
         v = self.vectors

@@ -10,14 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dacg import dacg_smallest
+from .bench import SOLVERS
 from .graphs import csr_connected_components
-from .irlm import irlm_smallest
-from .jd import jd_smallest
 from .results import EigenPairSet
 from .sparse import spmv
-
-_SOLVERS = {"dacg": dacg_smallest, "jd": jd_smallest, "irlm": irlm_smallest}
 
 
 def fiedler(a, solver="jd", delta=1e-6, f=None, *, seed=0, counter=None):
@@ -34,10 +30,10 @@ def fiedler(a, solver="jd", delta=1e-6, f=None, *, seed=0, counter=None):
             "connected graph, so the Fiedler pair is undefined here"
         )
     try:
-        solve = _SOLVERS[solver]
+        solve = SOLVERS[solver]
     except KeyError:
         raise ValueError(
-            f"unknown solver {solver!r}; pick one of dacg, jd, irlm"
+            f"unknown solver {solver!r}; pick one of {', '.join(SOLVERS)}"
         ) from None
     pairs, _ = solve(a, 1, delta=delta, f=f, seed=seed, counter=counter)
     values, vectors, _ = pairs.positive()

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 import lapeig
 from lapeig.bench import (
     CSV_COLUMNS,
+    SOLVERS,
     RunConfig,
     emit_report,
     emit_spectrum,
@@ -20,6 +22,8 @@ from lapeig.bench import (
 )
 from lapeig.cli import build_parser, config_from_args, main
 from lapeig.generators import path_graph, random_connected_graph
+from lapeig.graphs import build_laplacian
+from lapeig.ic0 import ic0_factorize
 from lapeig.irlm import ncv_for
 from tests.conftest import dense_positive_pairs
 
@@ -112,7 +116,7 @@ class TestRunGraph:
         def boom(*args, **kwargs):
             raise SolverError("forced stall for the test")
 
-        monkeypatch.setattr("lapeig.bench.jd_smallest", boom)
+        monkeypatch.setitem(lapeig.bench.SOLVERS, "jd", boom)
         edges = random_connected_graph(30, extra_edges=25, seed=8)
         reports = run_graph(edges, RunConfig(neig=2))
         by_name = {r.solver: r for r in reports}
@@ -136,10 +140,30 @@ class TestRunGraph:
         # the clipped basis size and the default inner tolerance irlm_smallest used
         assert irlm["ncv"] == min(max(ncv_for(3), 3 + 2), 60 - 1)
         assert irlm["delta_pcg"] == 1e-2 * config.delta
-        assert by_name["jd"].config["delta_pcg"] == 1e-2
+        jd = by_name["jd"].config
+        assert (jd["delta_pcg"], jd["itmax_inner"]) == (1e-2, 20)
+        assert (jd["m_min"], jd["m_max"]) == (5, 10)
         for r in by_name.values():
             assert r.config["n"] == 60
             assert r.config["seed"] == config.seed
+        # each setting reaches the solvers that take it and no other
+        config = RunConfig(neig=3, m_min=3, m_max=6, itmax_inner=7, ncv=20)
+        by_name = {r.solver: r for r in run_graph(edges, config)}
+        assert all(r.converged for r in by_name.values())
+        jd = by_name["jd"].config
+        assert (jd["m_min"], jd["m_max"], jd["itmax_inner"]) == (3, 6, 7)
+        assert by_name["irlm"].config["ncv"] == 20
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_unset_settings_are_the_solver_defaults(self, seed):
+        # run_graph adds nothing to a plain call with the signature defaults
+        edges = random_connected_graph(40, extra_edges=30, seed=3)
+        a = build_laplacian(edges)
+        reports = run_graph(edges, RunConfig(neig=3, seed=seed))
+        for r in reports:
+            _, direct = SOLVERS[r.solver](a, 3, f=ic0_factorize(a), seed=seed)
+            assert r.mvp == direct.mvp
+            assert r.eigenvalues == direct.eigenvalues
 
 
 class TestReports:
@@ -214,8 +238,8 @@ class TestCliParser:
         assert config.neig == 5
         assert config.delta == 1e-6
         assert config.delta_pcg is None
-        assert config.itmax_inner == 20
-        assert (config.m_min, config.m_max) == (5, 10)
+        assert config.itmax_inner is None
+        assert (config.m_min, config.m_max) == (None, None)
         assert config.seed == 0
         assert config.report == "table"
 
@@ -229,7 +253,8 @@ class TestCliParser:
             "--solver", "dacg", "--neig", "3", "--tol", "1e-3",
             "--pcg-tol", "1e-5", "--itmax-inner", "40", "--mmin", "4",
             "--mmax", "12", "--ncv", "25",
-            "--seed", "9", "--report", "csv", "--allow-disconnected",
+            "--seed", "9", "--report", "csv", "--emit-spectrum", "s.txt",
+            "--allow-disconnected",
         ])
         config = config_from_args(args)
         assert config.format == "mtx"
@@ -242,7 +267,15 @@ class TestCliParser:
         assert (config.m_min, config.m_max, config.ncv) == (4, 12, 25)
         assert config.seed == 9
         assert config.report == "csv"
+        assert config.emit_spectrum == "s.txt"
         assert config.allow_disconnected
+        default = RunConfig()
+        for field in fields(RunConfig):
+            assert getattr(config, field.name) != getattr(default, field.name), field.name
+
+    def test_solver_choices_are_the_registry(self):
+        (action,) = [a for a in build_parser()._actions if a.dest == "solver"]
+        assert action.choices == (*SOLVERS, "all")
 
 
 class TestCliMain:

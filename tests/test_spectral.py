@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lapeig.bench import SOLVERS
 from lapeig.generators import (
     complete_graph,
     cycle_graph,
@@ -38,7 +39,7 @@ class TestFiedler:
 
     def test_every_solver_agrees(self):
         a = build_laplacian(cycle_graph(4))
-        for solver in ("dacg", "jd", "irlm"):
+        for solver in SOLVERS:
             lam, _ = fiedler(a, solver=solver, delta=1e-8)
             assert lam == pytest.approx(2.0, abs=1e-7)
 
@@ -50,7 +51,7 @@ class TestFiedler:
 
     def test_unknown_solver_is_rejected(self):
         a = build_laplacian(path_graph(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pick one of dacg, jd, irlm$"):
             fiedler(a, solver="lobpcg")
 
     def test_order_is_a_stable_argsort(self):
