@@ -71,7 +71,8 @@ class RunConfig:
         if self.solver == "all":
             return tuple(SOLVERS)
         if self.solver not in SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}")
+            raise ValueError(f"unknown solver {self.solver!r}; "
+                             f"pick one of {', '.join(SOLVERS)}")
         return (self.solver,)
 
 
@@ -92,6 +93,7 @@ def run_graph(edges, config):
     remaining solvers still run.  A solver that claims convergence but
     whose pairs fail independent residual recomputation aborts the run.
     """
+    names = config.selection()
     n, m = edges.n_nodes, edges.m
     if config.allow_disconnected:
         # search only the nodes on an edge, renumbered in order: O(m), same component kept
@@ -122,7 +124,7 @@ def run_graph(edges, config):
     )
 
     reports = []
-    for name in config.selection():
+    for name in names:
         counter = MvpCounter()
         t0 = time.perf_counter()
         try:

@@ -6,28 +6,12 @@ linear systems are solved: every iteration costs exactly one product
 with the operator (plus one per pair at start and acceptance).
 """
 
-import time
-
 import numpy as np
 
 from .results import EigenPairSet, SolverError, fresh_accept, solver_result, solver_setup
 from .sparse import spmv
 
 _PARALLEL_TOL = 1e-12
-
-
-class DacgState:
-    """Iterate, gradient and direction data for one pair's minimization."""
-
-    __slots__ = ("x", "ax", "q", "grad", "p", "iterations")
-
-    def __init__(self, x, ax):
-        self.x = x
-        self.ax = ax
-        self.q = float(x @ ax)
-        self.grad = 2.0 * (ax - self.q * x)
-        self.p = None
-        self.iterations = 0
 
 
 def _is_parallel(x, p):
@@ -90,8 +74,7 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None,
     the deflation set for subsequent pairs.  Raises with partial
     results attached when a pair exceeds maxit_per_pair.
     """
-    t0 = time.perf_counter()
-    counter, guard, f = solver_setup(a, neig, counter, null_basis, f, neig)
+    counter, guard, f, start = solver_setup(a, neig, counter, null_basis, f, neig)
     rng = np.random.default_rng(seed)
     reset_period = max(1, a.n // 10)
 
@@ -112,41 +95,44 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None,
         x /= nrm
         ax = spmv(a, x, counter)
         outer_mvps += 1
-        state = DacgState(x, ax)
+        q = float(x @ ax)
+        grad = 2.0 * (ax - q * x)
+        p = None
+        its = 0
         z_prev = None
         g_prev = None
         since_reset = 0
         accepted = None
         res = np.inf
-        while state.iterations < maxit_per_pair:
-            res = float(np.linalg.norm(state.ax - state.q * state.x))
-            if state.q > 0 and res / state.q <= delta:
+        while its < maxit_per_pair:
+            res = float(np.linalg.norm(ax - q * x))
+            if q > 0 and res / q <= delta:
                 # candidate passes on cached data; confirm with a fresh product
-                xc = guard.project_out(state.x)
+                xc = guard.project_out(x)
                 xc /= np.linalg.norm(xc)
                 ok, theta, relres, w = fresh_accept(a, xc, delta, counter)
                 verify_mvps += 1
                 if ok:
                     accepted = (theta, xc, relres)
                     break
-                state.x, state.ax = xc, w
-                state.q = theta
-                state.grad = 2.0 * (w - theta * xc)
-            z = guard.project_out(f.apply(state.grad))
+                x, ax = xc, w
+                q = theta
+                grad = 2.0 * (w - theta * xc)
+            z = guard.project_out(f.apply(grad))
             if g_prev is None or since_reset >= reset_period:
                 beta = 0.0
                 since_reset = 0
             else:
                 denom = float(g_prev @ z_prev)
-                beta = float((state.grad - g_prev) @ z) / denom if denom != 0 else 0.0
+                beta = float((grad - g_prev) @ z) / denom if denom != 0 else 0.0
                 if beta < 0.0:
                     beta = 0.0
             # z and the previous direction are both in the complement already
-            p = -z + beta * state.p if (beta != 0.0 and state.p is not None) else -z
-            p -= (state.x @ p) * state.x
+            p = -z + beta * p if (beta != 0.0 and p is not None) else -z
+            p -= (x @ p) * x
             # a collapsed direction falls back to steepest descent, then random
             retries = 0
-            while _is_parallel(state.x, p):
+            while _is_parallel(x, p):
                 retries += 1
                 if retries == 1:
                     p = guard.project_out(-z)
@@ -155,35 +141,34 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None,
                 else:
                     raise SolverError(
                         f"pair {pair_idx}: no usable search direction at "
-                        f"iteration {state.iterations}"
+                        f"iteration {its}"
                     )
-                p -= (state.x @ p) * state.x
+                p -= (x @ p) * x
             ap = spmv(a, p, counter)
-            mu, al, be = _plane_minimize(state.x, state.ax, p, ap)
-            x_new = al * state.x + be * p
-            ax_new = al * state.ax + be * ap
+            mu, al, be = _plane_minimize(x, ax, p, ap)
+            x_new = al * x + be * p
+            ax_new = al * ax + be * ap
             nrm = float(np.linalg.norm(x_new))
             x_new /= nrm
             ax_new /= nrm
             q_new = float(x_new @ ax_new)
-            if q_new > state.q + 1e-14 * max(1.0, abs(state.q)):
+            if q_new > q + 1e-14 * max(1.0, abs(q)):
                 raise SolverError(
                     f"pair {pair_idx}: Rayleigh quotient increased from "
-                    f"{state.q!r} to {q_new!r}"
+                    f"{q!r} to {q_new!r}"
                 )
-            g_prev = state.grad
+            g_prev = grad
             z_prev = z
-            state.x, state.ax, state.q = x_new, ax_new, q_new
-            state.grad = 2.0 * (ax_new - q_new * x_new)
-            state.p = p
-            state.iterations += 1
+            x, ax, q = x_new, ax_new, q_new
+            grad = 2.0 * (ax_new - q_new * x_new)
+            its += 1
             since_reset += 1
         if accepted is None:
             found = guard.columns[:, guard.k - len(vals):].copy()
             partial = EigenPairSet(np.asarray(vals), found, np.asarray(resids))
             err = SolverError(
                 f"pair {pair_idx}: iteration cap {maxit_per_pair} reached "
-                f"(residual {res / state.q if state.q else np.inf:.3e}, "
+                f"(residual {res / q if q else np.inf:.3e}, "
                 f"target {delta:.1e})"
             )
             err.partial = partial
@@ -193,11 +178,11 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None,
         vals.append(theta)
         vecs.append(u)
         resids.append(rres)
-        per_pair.append(state.iterations)
+        per_pair.append(its)
         guard.push(u)
 
     return solver_result(
-        "dacg", delta, counter, t0, vals, vecs, resids,
+        "dacg", delta, counter, start, vals, vecs, resids,
         outer_its=0, inner_its_total=int(np.sum(per_pair)),
         mvp_outer=outer_mvps, mvp_verify=verify_mvps, restarts=0, seed=seed,
         maxit_per_pair=maxit_per_pair, iterations_per_pair=per_pair)

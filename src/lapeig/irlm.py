@@ -5,10 +5,10 @@ wanted eigenvalues (smallest positive of A) become the dominant ones of
 the projected matrix.  When the basis reaches ncv a thick restart keeps
 the best neig + 1 Ritz vectors and the trailing residual direction; the
 projected matrix then carries an arrowhead head block plus a fresh
-tridiagonal tail.
+tridiagonal tail.  That matrix is kept dense, as one symmetric array
+filled in place, as in Wu and Simon's thick-restart Lanczos and
+Stewart's Krylov-Schur form.
 """
-
-import time
 
 import numpy as np
 
@@ -24,20 +24,16 @@ _MAXIT_INNER = 5000
 _MAX_RESTARTS = 200
 
 # subspace sizes paired with eigenpair counts, interpolated in between
-_NCV_ANCHORS = ((1, 15), (5, 30), (20, 60), (50, 120))
+# and growing by two per pair past the last one
+_NCV_NEIG = (1, 5, 20, 50)
+_NCV_SIZE = (15, 30, 60, 120)
 
 
 def ncv_for(neig):
     """Default ncv for a given number of wanted pairs."""
     if neig < 1:
         raise ValueError("neig must be at least 1")
-    if neig <= _NCV_ANCHORS[0][0]:
-        return _NCV_ANCHORS[0][1]
-    for (x0, y0), (x1, y1) in zip(_NCV_ANCHORS, _NCV_ANCHORS[1:]):
-        if neig <= x1:
-            return int(round(y0 + (y1 - y0) * (neig - x0) / (x1 - x0)))
-    x1, y1 = _NCV_ANCHORS[-1]
-    return y1 + 2 * (neig - x1)
+    return int(round(np.interp(neig, _NCV_NEIG, _NCV_SIZE))) + 2 * max(0, neig - 50)
 
 
 class LanczosState:
@@ -48,65 +44,50 @@ class LanczosState:
     contiguous slice.  It always holds one more column than the
     projected matrix covers: the trailing column is the normalized
     residual waiting to be expanded (absent right after a breakdown).
-    After a thick restart the projected matrix is
-    arrowhead-plus-tridiagonal: retained Ritz values on the head
+    h is a column-major (ncv + 1) x (ncv + 1) array filled in place;
+    its leading m x m block is the projected matrix and h[m, m - 1]
+    couples it to the pending column.  After a thick restart that block
+    is arrowhead-plus-tridiagonal: retained Ritz values on the head
     diagonal, a coupling vector between the head and the first tail
-    column, then the usual alpha/beta tail.
+    column, then the usual tridiagonal tail.
     """
 
     def __init__(self, v1, ncv):
         v1 = np.asarray(v1, dtype=np.float64)
-        self.ncv = int(ncv)
-        self.basis = DeflationBasis(v1.reshape(-1, 1), self.ncv + 1)
-        self.head_vals = np.zeros(0)
-        self.head_coupling = np.zeros(0)
-        self.alpha = []
-        self.beta = []
+        self.basis = DeflationBasis(v1.reshape(-1, 1), ncv + 1)
+        self.h = np.zeros((ncv + 1, ncv + 1), order="F")
+        self.m = 0
         self.breakdown = False
-        self.last_inner_its = 0
-
-    @property
-    def m(self):
-        """Dimension of the completed projected matrix."""
-        return self.head_vals.shape[0] + len(self.alpha)
 
     @property
     def has_pending(self):
         return self.basis.k == self.m + 1
 
     def projected_matrix(self):
-        k = self.head_vals.shape[0]
-        t = len(self.alpha)
-        h = np.diag(np.concatenate((self.head_vals, self.alpha)))
-        if k and t:
-            h[:k, k] = self.head_coupling
-            h[k, :k] = self.head_coupling
-        tail = np.arange(k, k + t - 1)
-        h[tail, tail + 1] = self.beta[: tail.shape[0]]
-        h[tail + 1, tail] = self.beta[: tail.shape[0]]
-        return h
+        """The leading m x m block of h, as a view."""
+        return self.h[: self.m, : self.m]
 
 
 def inverse_lanczos_step(state, a, f, delta_pcg, null_basis, counter=None):
     """Expand the pending basis vector by one inverse-operator application.
 
     Solves A w = v by deflated PCG, records the new diagonal entry
-    w'v, runs the three-term recurrence followed by full two-pass
-    reorthogonalization, and either appends the normalized remainder or
-    flags breakdown when its norm drops below 1e-12 of the solution
-    scale.
+    w'v, runs the recurrence against the filled column of h followed
+    by full two-pass reorthogonalization, and either appends the
+    normalized remainder or flags breakdown when its norm drops below
+    1e-12 of the solution scale.  Returns the PCG iteration count.
     """
     if not state.has_pending:
         raise SolverError("no pending vector to expand (breakdown not handled)")
+    m, h = state.m, state.h
     vmat = state.basis.columns
-    v = vmat[:, -1]
+    v = vmat[:, m]
 
     def op(x, c):
         return spmv(a, x, c)
 
     out = pcg_solve(op, f, v, delta_pcg, _MAXIT_INNER,
                     deflation=null_basis, counter=counter)
-    state.last_inner_its = out.iterations
     if not out.converged:
         raise SolverError(
             f"inner PCG stalled at relative residual {out.final_relres:.3e} "
@@ -114,24 +95,21 @@ def inverse_lanczos_step(state, a, f, delta_pcg, null_basis, counter=None):
         )
     w = out.solution
     scale = max(1.0, float(np.linalg.norm(w)))
-    alpha_j = float(w @ v)
-    w = w - alpha_j * v
-    k = state.head_vals.shape[0]
-    if state.alpha:
-        w -= state.beta[-1] * vmat[:, -2]
-    elif k:
-        w -= vmat[:, :k] @ state.head_coupling
+    h[m, m] = w @ v
+    w = w - h[m, m] * v
+    # column m holds the previous beta, or the head coupling after a restart
+    w -= vmat[:, :m] @ h[:m, m]
     # full reorthogonalization, two block sweeps over kernel and basis
     for _ in range(2):
         w = state.basis.project_out(null_basis.project_out(w))
     b = float(np.linalg.norm(w))
-    state.alpha.append(alpha_j)
+    state.m = m + 1
     if b < _BREAKDOWN_ABS * scale:
         state.breakdown = True
     else:
-        state.beta.append(b)
+        h[m, m + 1] = h[m + 1, m] = b
         state.basis.push(w / b)
-    return state
+    return out.iterations
 
 
 def _sorted_ritz(state):
@@ -179,10 +157,12 @@ def _thick_restart(state, ritz, neig, null_basis):
     basis.k = keep
     residual = basis.project_out(null_basis.project_out(basis.buffer[:, m]))
     basis.push(residual / np.linalg.norm(residual))
-    state.head_vals = mu[:keep].copy()
-    state.head_coupling = state.beta[-1] * y[m - 1, :keep]
-    state.alpha = []
-    state.beta = []
+    h = state.h
+    coupling = h[m, m - 1] * y[m - 1, :keep]
+    h.fill(0.0)
+    h[range(keep), range(keep)] = mu[:keep]
+    h[:keep, keep] = h[keep, :keep] = coupling
+    state.m = keep
     return state
 
 
@@ -194,7 +174,6 @@ def _insert_random(state, null_basis, rng):
             v, _ = mgs_orthonormalize(cand, state.basis.columns)
         except GramSchmidtBreakdown:
             continue
-        state.beta.append(0.0)
         state.basis.push(v)
         state.breakdown = False
         return True
@@ -209,19 +188,16 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
     Acceptance requires every pair to satisfy
     ||A u - theta u|| / theta <= delta with freshly computed products.
     """
-    t0 = time.perf_counter()
-    counter, null_basis, f = solver_setup(a, neig, counter, null_basis, f, 0)
+    counter, null_basis, f, start = solver_setup(a, neig, counter, null_basis, f, 0)
     if delta_pcg is None:
         delta_pcg = 1e-2 * delta
     ncv_eff = ncv_for(neig) if ncv is None else int(ncv)
     ncv_eff = min(max(ncv_eff, neig + 2), a.n - null_basis.k)
     rng = np.random.default_rng(seed)
 
-    if v0 is not None:
-        start = np.asarray(v0, dtype=np.float64)
-    else:
-        start = rng.standard_normal(a.n)
-    v1, _ = mgs_orthonormalize(start, null_basis.columns)
+    if v0 is None:
+        v0 = rng.standard_normal(a.n)
+    v1, _ = mgs_orthonormalize(v0, null_basis.columns)
     state = LanczosState(v1, ncv_eff)
 
     solves = 0
@@ -230,10 +206,9 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
     restarts = 0
     for _cycle in range(_MAX_RESTARTS + 1):
         while state.m < ncv_eff and not state.breakdown:
-            inverse_lanczos_step(state, a, f, delta_pcg, null_basis,
-                                 counter=counter)
+            inner_total += inverse_lanczos_step(state, a, f, delta_pcg,
+                                                null_basis, counter=counter)
             solves += 1
-            inner_total += state.last_inner_its
         # a vanished residual can hide extra copies of an eigenvalue,
         # so resume with a random direction before judging convergence
         if state.breakdown and _insert_random(state, null_basis, rng):
@@ -257,7 +232,7 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
         restarts += 1
 
     return solver_result(
-        "irlm", delta, counter, t0, *found,
+        "irlm", delta, counter, start, *found,
         outer_its=solves, inner_its_total=inner_total,
         mvp_outer=0, mvp_verify=verify_total, restarts=restarts, seed=seed,
         ncv=ncv_eff, delta_pcg=delta_pcg, maxit_inner=_MAXIT_INNER)

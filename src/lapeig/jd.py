@@ -15,8 +15,6 @@ of the buffer, a restart keeps V's first m_min columns, and a lock
 writes the verified vector over u and grows the guard by one.
 """
 
-import time
-
 import numpy as np
 
 from .kernels import GramSchmidtBreakdown, dense_sym_eig, mgs_orthonormalize
@@ -117,9 +115,8 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
     projected onto the complement of kernel, locked pairs and the
     current Ritz vector.
     """
-    t0 = time.perf_counter()
-    counter, guard, f = solver_setup(a, neig, counter, null_basis, f,
-                                     neig + m_max)
+    counter, guard, f, start = solver_setup(a, neig, counter, null_basis,
+                                            f, neig + m_max)
     rng = np.random.default_rng(seed)
 
     locked_vals, locked_vecs, locked_res = [], [], []
@@ -218,7 +215,7 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
         inner_total += counter.count - before
 
     return solver_result(
-        "jd", delta, counter, t0, locked_vals, locked_vecs, locked_res,
+        "jd", delta, counter, start, locked_vals, locked_vecs, locked_res,
         outer_its=outer_solves, inner_its_total=inner_total,
         mvp_outer=outer_mvps, mvp_verify=verify_mvps, restarts=restarts,
         seed=seed, delta_pcg=delta_pcg, itmax_inner=itmax_inner,

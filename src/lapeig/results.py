@@ -92,9 +92,12 @@ def solver_setup(a, neig, counter, null_basis, f, room):
 
     null_basis must have a.n rows and neig must lie in [1, a.n -
     null_basis.k], both checked before the costly IC(0) default.  Returns
-    (counter, guard, f); guard copies null_basis with room for room more
-    columns, so growing it never touches the caller's basis.
+    (counter, guard, f, start); guard copies null_basis with room for
+    room more columns, so growing it never touches the caller's basis,
+    and start marks the run's clock and the counter's count at entry
+    for solver_result.
     """
+    t0 = time.perf_counter()
     if null_basis is None:
         null_basis = kernel_basis(a.n)
     if null_basis.n != a.n:
@@ -111,7 +114,7 @@ def solver_setup(a, neig, counter, null_basis, f, room):
     if f is None:
         f = ic0_factorize(a)
     guard = DeflationBasis(null_basis.columns, null_basis.k + room)
-    return counter, guard, f
+    return counter, guard, f, (t0, counter.count)
 
 
 def fresh_accept(a, u, delta, counter):
@@ -128,15 +131,18 @@ def fresh_accept(a, u, delta, counter):
     return relres <= delta, theta, relres, w
 
 
-def solver_result(solver, delta, counter, t0, vals, vecs, resids, *,
+def solver_result(solver, delta, counter, start, vals, vecs, resids, *,
                   outer_its, inner_its_total, mvp_outer, mvp_verify,
                   restarts, seed, **settings):
     """Sort the accepted pairs into an EigenPairSet and report the run.
 
     vals, vecs and resids list the accepted pairs in any order, one
-    unit vector per value; t0 is the run's perf_counter start.  The
-    config holds the ledger keys, then the solver's own settings.
+    unit vector per value; start is solver_setup's mark, so mvp counts
+    only this run's products even on a counter that was already
+    charged.  The config holds the ledger keys, then the solver's own
+    settings.
     """
+    t0, mvp0 = start
     order = np.argsort(vals, kind="stable")
     pairs = EigenPairSet(np.asarray(vals)[order],
                          np.column_stack(vecs)[:, order],
@@ -145,7 +151,7 @@ def solver_result(solver, delta, counter, t0, vals, vecs, resids, *,
         solver=solver,
         neig=len(pairs),
         delta=delta,
-        mvp=counter.count,
+        mvp=counter.count - mvp0,
         outer_its=outer_its,
         inner_its_total=inner_its_total,
         wall_seconds=time.perf_counter() - t0,

@@ -125,6 +125,19 @@ class TestRunGraph:
         assert by_name["dacg"].converged
         assert by_name["irlm"].converged
 
+    def test_unknown_solver_is_rejected_before_factoring(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a.n)
+            return ic0_factorize(a)
+
+        monkeypatch.setattr(lapeig.bench, "ic0_factorize", counted)
+        edges = random_connected_graph(2000, extra_edges=2000, seed=1)
+        with pytest.raises(ValueError, match="pick one of dacg, jd, irlm$"):
+            run_graph(edges, RunConfig(solver="lobpcg"))
+        assert calls == []
+
     def test_shared_factorization_is_echoed(self):
         edges = random_connected_graph(30, extra_edges=25, seed=8)
         reports = run_graph(edges, RunConfig(neig=2))

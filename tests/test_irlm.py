@@ -26,23 +26,6 @@ from lapeig.sparse import MvpCounter
 from tests.conftest import dense_positive_pairs
 
 
-def _loop_projected_matrix(state):
-    """The projected matrix filled entry by entry, as a reference."""
-    k = state.head_vals.shape[0]
-    t = len(state.alpha)
-    h = np.zeros((k + t, k + t))
-    h[np.arange(k), np.arange(k)] = state.head_vals
-    if k and t:
-        h[:k, k] = state.head_coupling
-        h[k, :k] = state.head_coupling
-    for idx in range(t):
-        h[k + idx, k + idx] = state.alpha[idx]
-        if idx + 1 < t:
-            h[k + idx, k + idx + 1] = state.beta[idx]
-            h[k + idx + 1, k + idx] = state.beta[idx]
-    return h
-
-
 def _setup(edges):
     a = build_laplacian(edges)
     return a, ic0_factorize(a), kernel_basis(a.n)
@@ -56,6 +39,10 @@ class TestNcvFor:
         assert ncv_for(50) == 120
 
     def test_interpolates_between_anchors(self):
+        assert ncv_for(2) == 19
+        # the half-way tie 22.5 rounds to even
+        assert ncv_for(3) == 22
+        assert ncv_for(4) == 26
         assert ncv_for(10) == 40
         assert ncv_for(35) == 90
 
@@ -81,7 +68,7 @@ class TestInverseLanczosStep:
         v1 = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
         state = LanczosState(v1, ncv=5)
         inverse_lanczos_step(state, a, f, 1e-12, nb)
-        assert state.alpha[0] == pytest.approx(1.0, abs=1e-9)
+        assert state.h[0, 0] == pytest.approx(1.0, abs=1e-9)
         assert state.breakdown
 
     def test_breakdown_leaves_no_pending_vector(self):
@@ -102,7 +89,7 @@ class TestInverseLanczosStep:
         state = LanczosState(v1, ncv=4)
         inverse_lanczos_step(state, a, f, 1e-12, nb)
         assert not state.breakdown
-        assert state.beta[0] > 0.0
+        assert state.h[1, 0] > 0.0
         t1 = state.projected_matrix()[0, 0]
         inverse_lanczos_step(state, a, f, 1e-12, nb)
         mu = np.sort(np.linalg.eigvalsh(state.projected_matrix()))
@@ -116,8 +103,8 @@ class TestInverseLanczosStep:
         v1 /= np.linalg.norm(v1)
         state = LanczosState(v1, ncv=6)
         counter = MvpCounter()
-        inverse_lanczos_step(state, a, f, 1e-8, nb, counter=counter)
-        assert counter.count == state.last_inner_its
+        its = inverse_lanczos_step(state, a, f, 1e-8, nb, counter=counter)
+        assert counter.count == its
         assert counter.count > 0
 
 
@@ -194,8 +181,9 @@ class TestThickRestart:
         a, f, nb, state = self._grown_state(neig=2, ncv=8)
         mu = np.sort(np.linalg.eigvalsh(state.projected_matrix()))[::-1]
         _thick_restart(state, _sorted_ritz(state), 2, nb)
-        assert state.head_vals.shape == (3,)
-        assert np.max(np.abs(state.head_vals - mu[:3])) < 1e-12
+        assert state.m == 3
+        head_vals = np.diag(state.projected_matrix())
+        assert np.max(np.abs(head_vals - mu[:3])) < 1e-12
 
     def test_contracted_basis_is_orthonormal(self):
         a, f, nb, state = self._grown_state(neig=2, ncv=8)
@@ -209,19 +197,27 @@ class TestThickRestart:
 
     def test_projected_matrix_is_arrowhead_after_growth(self):
         a, f, nb, state = self._grown_state(neig=2, ncv=8)
-        _thick_restart(state, _sorted_ritz(state), 2, nb)
-        inverse_lanczos_step(state, a, f, 1e-12, nb)
-        h = state.projected_matrix()
-        k = state.head_vals.shape[0]
-        assert h.shape == (k + 1, k + 1)
-        assert np.allclose(np.diag(h)[:k], state.head_vals)
-        assert np.allclose(h[:k, k], state.head_coupling)
-        assert np.allclose(h[k, :k], state.head_coupling)
-        off_head = h[:k, :k] - np.diag(state.head_vals)
-        assert np.max(np.abs(off_head)) == 0.0
-        for _ in range(3):
+        ritz = _sorted_ritz(state)
+        mu, y = ritz
+        coupling = state.h[8, 7] * y[7, :3]
+        _thick_restart(state, ritz, 2, nb)
+        for _ in range(4):
             inverse_lanczos_step(state, a, f, 1e-12, nb)
-        assert np.array_equal(state.projected_matrix(), _loop_projected_matrix(state))
+        k = 3
+        h = state.h
+        assert state.m == k + 4
+        assert np.shares_memory(state.projected_matrix(), h)
+        assert np.array_equal(np.diag(h)[:k], mu[:k])
+        assert np.array_equal(h[:k, k], coupling)
+        off_head = h[:k, :k] - np.diag(mu[:k])
+        assert np.max(np.abs(off_head)) == 0.0
+        # nothing outside the arrowhead and the tridiagonal tail, which
+        # reaches the coupling to the pending column
+        i, j = np.indices(h.shape)
+        arrow = ((i == j) & (i < k)) | ((np.minimum(i, j) < k) & (np.maximum(i, j) == k))
+        tail = (i >= k) & (j >= k) & (np.abs(i - j) <= 1)
+        assert np.all(h[~(arrow | tail)] == 0.0)
+        assert np.array_equal(h, h.T)
 
     def test_restart_does_not_lose_accuracy(self):
         # The restarted process must still converge to the true

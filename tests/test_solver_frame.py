@@ -48,16 +48,25 @@ SOLVERS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SOLVERS))
-def test_report_accounting_identity(name):
+# each solver with its own counter, then with a caller's counter that
+# was charged before the run; explicit ids keep the first three names
+@pytest.mark.parametrize(
+    "name, charged",
+    [(name, charged) for charged in (0, 1000) for name in sorted(SOLVERS)],
+    ids=[*sorted(SOLVERS), *(f"{name}-precharged" for name in sorted(SOLVERS))])
+def test_report_accounting_identity(name, charged):
     solve, solver_checks = SOLVERS[name]
     a = build_laplacian(random_connected_graph(50, extra_edges=60, seed=7))
-    pairs, report = solve(a, 5, delta=1e-6, seed=0)
+    counter = MvpCounter(charged) if charged else None
+    pairs, report = solve(a, 5, delta=1e-6, seed=0, counter=counter)
     assert report.solver == name
     assert LEDGER_KEYS <= report.config.keys()
     assert report.mvp == (report.config["mvp_outer"] +
                           report.inner_its_total +
                           report.config["mvp_verify"])
+    if counter is not None:
+        # the caller's counter still receives every product of the run
+        assert counter.count == charged + report.mvp
     # at least one acceptance product per pair
     assert report.config["mvp_verify"] >= 5
     assert report.config["seed"] == 0
