@@ -41,12 +41,7 @@ from .graphs import (
 from .ic0 import Ic0Error, Ic0Factor, ic0_factorize, identity_factor
 from .irlm import irlm_smallest, ncv_for
 from .jd import jd_smallest
-from .kernels import (
-    GramSchmidtBreakdown,
-    dense_sym_eig,
-    mgs_orthonormalize,
-    tridiag_eig,
-)
+from .kernels import GramSchmidtBreakdown, dense_sym_eig, mgs_orthonormalize
 from .pcg import DeflationBasis, PcgOutcome, jd_correction_solve, kernel_basis, pcg_solve
 from .results import EigenPairSet, SolverError, SolverReport, rayleigh_residuals
 from .sparse import CsrMatrix, MvpCounter, spmv
@@ -123,6 +118,5 @@ __all__ = [
     "spmv",
     "star_graph",
     "stats",
-    "tridiag_eig",
     "write_matrix_market",
 ]

@@ -8,10 +8,11 @@ with the operator (plus one per pair at start and acceptance).
 
 import numpy as np
 
-from .results import EigenPairSet, SolverError, fresh_accept, solver_result, solver_setup
+from .results import SolverError, fresh_accept, solver_result, solver_setup
 from .sparse import spmv
 
 _PARALLEL_TOL = 1e-12
+_MAXIT_PER_PAIR = 20000
 
 
 def _is_parallel(x, p):
@@ -65,14 +66,14 @@ def _plane_minimize(x, ax, p, ap):
     return float(mu), alpha / scale, beta / scale
 
 
-def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None,
-                  maxit_per_pair=20000, *, seed=0, counter=None, x0=None):
+def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
+                  counter=None, x0=None):
     """neig smallest strictly positive eigenpairs by Rayleigh quotient descent.
 
     Each accepted iterate is normalized, verified with a fresh product
     against the per-pair test ||A x - q x|| / q <= delta, and joined to
-    the deflation set for subsequent pairs.  Raises with partial
-    results attached when a pair exceeds maxit_per_pair.
+    the deflation set for subsequent pairs.  Raises SolverError when a
+    pair exceeds _MAXIT_PER_PAIR iterations.
     """
     counter, guard, f, start = solver_setup(a, neig, counter, null_basis, f, neig)
     rng = np.random.default_rng(seed)
@@ -104,7 +105,7 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None,
         since_reset = 0
         accepted = None
         res = np.inf
-        while its < maxit_per_pair:
+        while its < _MAXIT_PER_PAIR:
             res = float(np.linalg.norm(ax - q * x))
             if q > 0 and res / q <= delta:
                 # candidate passes on cached data; confirm with a fresh product
@@ -164,16 +165,11 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None,
             its += 1
             since_reset += 1
         if accepted is None:
-            found = guard.columns[:, guard.k - len(vals):].copy()
-            partial = EigenPairSet(np.asarray(vals), found, np.asarray(resids))
-            err = SolverError(
-                f"pair {pair_idx}: iteration cap {maxit_per_pair} reached "
+            raise SolverError(
+                f"pair {pair_idx}: iteration cap {_MAXIT_PER_PAIR} reached "
                 f"(residual {res / q if q else np.inf:.3e}, "
                 f"target {delta:.1e})"
             )
-            err.partial = partial
-            err.stalled_pair = pair_idx
-            raise err
         theta, u, rres = accepted
         vals.append(theta)
         vecs.append(u)
@@ -185,4 +181,4 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None,
         "dacg", delta, counter, start, vals, vecs, resids,
         outer_its=0, inner_its_total=int(np.sum(per_pair)),
         mvp_outer=outer_mvps, mvp_verify=verify_mvps, restarts=0, seed=seed,
-        maxit_per_pair=maxit_per_pair, iterations_per_pair=per_pair)
+        maxit_per_pair=_MAXIT_PER_PAIR, iterations_per_pair=per_pair)

@@ -12,11 +12,10 @@ Stewart's Krylov-Schur form.
 
 import numpy as np
 
-from .kernels import (GramSchmidtBreakdown, dense_sym_eig, mgs_orthonormalize,
-                      orthonormal_columns)
+from .kernels import (DENSE_EIG_MAX_DIM, GramSchmidtBreakdown, dense_sym_eig,
+                      mgs_orthonormalize, orthonormal_columns)
 from .pcg import DeflationBasis, pcg_solve
 from .results import SolverError, fresh_accept, solver_result, solver_setup
-from .sparse import spmv
 
 _BREAKDOWN_ABS = 1e-12
 # PCG iterations per inverse-operator solve, and thick restarts per run
@@ -82,11 +81,7 @@ def inverse_lanczos_step(state, a, f, delta_pcg, null_basis, counter=None):
     m, h = state.m, state.h
     vmat = state.basis.columns
     v = vmat[:, m]
-
-    def op(x, c):
-        return spmv(a, x, c)
-
-    out = pcg_solve(op, f, v, delta_pcg, _MAXIT_INNER,
+    out = pcg_solve(a, f, v, delta_pcg, _MAXIT_INNER,
                     deflation=null_basis, counter=counter)
     if not out.converged:
         raise SolverError(
@@ -185,6 +180,7 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
     """neig smallest strictly positive eigenpairs of a, values ascending.
 
     Inner solves run at tolerance delta_pcg (default delta / 100).
+    The basis is capped at the dense solver's DENSE_EIG_MAX_DIM columns.
     Acceptance requires every pair to satisfy
     ||A u - theta u|| / theta <= delta with freshly computed products.
     """
@@ -192,7 +188,11 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
     if delta_pcg is None:
         delta_pcg = 1e-2 * delta
     ncv_eff = ncv_for(neig) if ncv is None else int(ncv)
-    ncv_eff = min(max(ncv_eff, neig + 2), a.n - null_basis.k)
+    usable = a.n - null_basis.k
+    if min(neig + 2, usable) > DENSE_EIG_MAX_DIM:
+        raise ValueError(f"neig {neig} needs a basis of {neig + 2}, above the "
+                         f"dense solver cap {DENSE_EIG_MAX_DIM}")
+    ncv_eff = min(max(ncv_eff, neig + 2), usable, DENSE_EIG_MAX_DIM)
     rng = np.random.default_rng(seed)
 
     if v0 is None:

@@ -17,7 +17,8 @@ writes the verified vector over u and grows the guard by one.
 
 import numpy as np
 
-from .kernels import GramSchmidtBreakdown, dense_sym_eig, mgs_orthonormalize
+from .kernels import (DENSE_EIG_MAX_DIM, GramSchmidtBreakdown, dense_sym_eig,
+                      mgs_orthonormalize)
 from .pcg import jd_correction_solve
 from .results import SolverError, fresh_accept, solver_result, solver_setup
 from .sparse import spmv
@@ -37,6 +38,8 @@ class JdWorkspace:
     def __init__(self, guard, m_min, m_max):
         if not 0 < m_min < m_max:
             raise ValueError("need 0 < m_min < m_max")
+        if m_max > DENSE_EIG_MAX_DIM:
+            raise ValueError(f"m_max {m_max} exceeds the dense cap {DENSE_EIG_MAX_DIM}")
         self.guard = guard
         self.m_min = int(m_min)
         self.w_buf = np.zeros((guard.n, m_max), order="F")

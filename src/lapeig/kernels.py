@@ -1,14 +1,13 @@
 """Small dense kernels shared by the sparse eigensolvers.
 
-Contains block Gram-Schmidt with conditional reorthogonalization and
-the symmetric eigensolvers for projected matrices: LAPACK through
-numpy.linalg.eigh for dense ones and scipy.linalg.eigh_tridiagonal for
-tridiagonal ones.  The dense solver is only ever applied to projected
-matrices of modest size, so the dimension is capped.
+Contains block Gram-Schmidt with conditional reorthogonalization, a
+sign-fixed thin-QR basis, and the dense symmetric eigensolver for
+projected matrices (LAPACK through numpy.linalg.eigh).  Its dimension
+is capped at DENSE_EIG_MAX_DIM, which bounds IRLM's basis and JD's
+search space.
 """
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 _REORTH_FACTOR = 0.7
 _BREAKDOWN_REL = 1e-14
@@ -20,7 +19,7 @@ class GramSchmidtBreakdown(RuntimeError):
 
 
 def mgs_orthonormalize(v, basis):
-    """Orthonormalize v against the orthonormal columns of basis.
+    """Orthonormalize v against the orthonormal columns of the 2-D basis.
 
     One block Gram-Schmidt sweep v - B (B' v) over the whole basis,
     repeated once more when the first sweep shrank the vector by more
@@ -31,8 +30,6 @@ def mgs_orthonormalize(v, basis):
     """
     v = np.array(v, dtype=np.float64)
     basis = np.asarray(basis, dtype=np.float64)
-    if basis.ndim == 1:
-        basis = basis.reshape(-1, 1)
     if basis.size and basis.shape[0] != v.shape[0]:
         raise ValueError("basis rows must match vector length")
     norm_in = np.linalg.norm(v)
@@ -57,23 +54,6 @@ def orthonormal_columns(x):
     """Thin-QR basis of x's columns, each signed to match its source column."""
     q, r = np.linalg.qr(x)
     return q * np.where(np.diag(r) < 0, -1.0, 1.0)
-
-
-def tridiag_eig(alpha, beta):
-    """Eigendecomposition of a symmetric tridiagonal matrix.
-
-    alpha has length m, beta length m - 1 with beta[i] coupling
-    alpha[i] and alpha[i+1].  Returns (values ascending, vectors with
-    matching columns).
-    """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    m = alpha.shape[0]
-    if m == 0:
-        raise ValueError("empty tridiagonal")
-    if beta.shape[0] != m - 1:
-        raise ValueError("beta must be one entry shorter than alpha")
-    return eigh_tridiagonal(alpha, beta)
 
 
 def dense_sym_eig(h, max_dim=DENSE_EIG_MAX_DIM):

@@ -4,10 +4,11 @@ Graph Laplacians are singular, so linear solves run inside the
 orthogonal complement of the kernel (and of any locked eigenvectors).
 A DeflationBasis holds that subspace in one preallocated column-major
 buffer that a solver grows in place; every projection is one block
-step v - Q (Q' v) on the columns in use.  The right-hand side is
-projected once; each iteration then projects the operator output and
-the preconditioned residual, so residual and search direction stay in
-the complement, where the operator is effectively definite.
+step v - Q (Q' v) on the columns in use.  PCG runs on a CsrMatrix A,
+optionally shifted to A - theta I; it projects the right-hand side once
+and then, per iteration, the shifted product and the preconditioned
+residual, so residual and search direction stay in the complement,
+where the matrix is effectively definite.
 """
 
 from dataclasses import dataclass
@@ -41,18 +42,6 @@ class DeflationBasis:
         self.buffer = np.zeros((n, max(k, capacity or 0)), order="F")
         self.buffer[:, :k] = columns
         self.k = k
-
-    @classmethod
-    def empty(cls, n):
-        return cls(np.zeros((n, 0)))
-
-    @classmethod
-    def single(cls, v):
-        v = np.asarray(v, dtype=np.float64)
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            raise ValueError("cannot build a basis from the zero vector")
-        return cls((v / nrm).reshape(-1, 1))
 
     @property
     def n(self):
@@ -107,16 +96,17 @@ class PcgOutcome:
     indefinite: bool = False
 
 
-def pcg_solve(op, precond, b, tol, maxit, deflation=None, counter=None, callback=None):
-    """Conjugate gradients for op(x) = b on the complement of the deflation basis.
+def pcg_solve(a, precond, b, tol, maxit, deflation=None, counter=None, shift=0.0):
+    """Conjugate gradients for (A - shift I) x = b on the deflation complement.
 
-    op has signature op(x, counter) -> y and is charged one product per
-    call.  precond is None (identity) or an object with an apply
-    method, such as an Ic0Factor.  Neither needs to project: pcg_solve
-    projects b once and then, per iteration, the operator output and
-    the preconditioned residual, which keeps residuals, directions and
-    iterates in the complement.  A nonpositive curvature p' A p stops
-    the iteration immediately and flags the outcome indefinite.
+    a is a CsrMatrix; each iteration charges one spmv to the counter
+    and subtracts shift * p in place when shift is nonzero.  precond is
+    None (identity) or an object with an apply method, such as an
+    Ic0Factor.  Neither needs to project: pcg_solve projects b once and
+    then, per iteration, the shifted product and the preconditioned
+    residual, which keeps residuals, directions and iterates in the
+    complement.  A nonpositive curvature p' (A - shift I) p stops the
+    iteration immediately and flags the outcome indefinite.
     """
     if deflation is None or deflation.k == 0:
         project = lambda v: v
@@ -137,7 +127,10 @@ def pcg_solve(op, precond, b, tol, maxit, deflation=None, counter=None, callback
     indefinite = False
     converged = False
     while it < maxit:
-        ap = project(op(p, counter))
+        ap = spmv(a, p, counter)
+        if shift:
+            ap -= shift * p
+        ap = project(ap)
         it += 1
         pap = float(p @ ap)
         if pap <= 0.0:
@@ -147,8 +140,6 @@ def pcg_solve(op, precond, b, tol, maxit, deflation=None, counter=None, callback
         x += gamma * p
         r -= gamma * ap
         relres = float(np.linalg.norm(r)) / normb
-        if callback is not None:
-            callback(x)
         if relres <= tol:
             converged = True
             break
@@ -167,19 +158,16 @@ def jd_correction_solve(a, theta, q, residual, f, tol, itmax, counter=None):
     """Approximate solve of the projected shifted system used by Jacobi-Davidson.
 
     Solves (I - QQ')(A - theta I)(I - QQ') s = -residual by PCG on the
-    complement of Q, handing pcg_solve the plain shifted operator and
-    preconditioner f (None for none); pcg_solve does the projecting.
+    complement of Q, handing pcg_solve the matrix, the shift theta and
+    the preconditioner f (None for none); pcg_solve does the projecting.
     The iterate reached at itmax is returned even when the tolerance
     was not met; an immediate indefinite direction falls back to the
     projected preconditioned residual so the outer iteration always
     receives a usable expansion vector.
     """
     residual = np.asarray(residual, dtype=np.float64)
-
-    def op(x, c):
-        return spmv(a, x, c) - theta * x
-
-    out = pcg_solve(op, f, -residual, tol, itmax, deflation=q, counter=counter)
+    out = pcg_solve(a, f, -residual, tol, itmax, deflation=q, counter=counter,
+                    shift=theta)
     s = out.solution
     if np.linalg.norm(s) == 0.0 and np.linalg.norm(residual) > 0.0:
         rhs = q.project_out(-residual)

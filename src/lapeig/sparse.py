@@ -108,9 +108,6 @@ class CsrMatrix:
     def toarray(self):
         return self.csr.toarray()
 
-    def symmetry_defect(self):
-        return float(abs(self.csr - self.csr.T).max()) if self.n else 0.0
-
 
 def spmv(a, x, counter=None):
     """y = A x for a CsrMatrix, charging one product to the counter."""

@@ -297,8 +297,7 @@ class TestPreconditioning:
             spd = CsrMatrix.from_coo(a.n, r, c, dense[r, c], symmetric=True)
             f = ic0_factorize(spd)
             b = rng.standard_normal(a.n)
-            op = lambda x, cnt: spmv(spd, x, cnt)
-            plain = pcg_solve(op, None, b, 1e-10, 500)
-            fancy = pcg_solve(op, f, b, 1e-10, 500)
+            plain = pcg_solve(spd, None, b, 1e-10, 500)
+            fancy = pcg_solve(spd, f, b, 1e-10, 500)
             assert plain.converged and fancy.converged
             assert fancy.iterations < plain.iterations

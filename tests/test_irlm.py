@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import lapeig.irlm
 from lapeig.generators import (
     complete_graph,
     cycle_graph,
@@ -297,3 +298,19 @@ class TestIrlmSmallest:
         a, _, _ = _setup(path_graph(3))
         with pytest.raises(ValueError):
             irlm_smallest(a, 0)
+
+    def test_basis_above_the_dense_cap_fails_before_any_product(self):
+        a = build_laplacian(random_connected_graph(600, extra_edges=900, seed=1))
+        counter = MvpCounter()
+        with pytest.raises(ValueError, match="dense solver cap 512"):
+            irlm_smallest(a, 511, counter=counter)
+        assert counter.count == 0
+
+    def test_basis_is_capped_at_the_dense_solver(self, monkeypatch):
+        monkeypatch.setattr(lapeig.irlm, "DENSE_EIG_MAX_DIM", 12)
+        a = build_laplacian(random_connected_graph(60, extra_edges=80, seed=4))
+        assert ncv_for(3) > 12
+        pairs, report = irlm_smallest(a, 3)
+        assert report.config["ncv"] == 12
+        _, resid = rayleigh_residuals(a, pairs.vectors)
+        assert resid.max() <= 1e-6

@@ -48,6 +48,10 @@ class TestJdWorkspace:
         with pytest.raises(ValueError):
             _workspace(10, 0, 4)
 
+    def test_rejects_m_max_above_the_dense_cap(self):
+        with pytest.raises(ValueError, match="dense cap 512"):
+            _workspace(10, 5, 513)
+
     def test_append_builds_projected_matrix(self):
         edges = random_connected_graph(20, extra_edges=15, seed=6)
         a = build_laplacian(edges)
@@ -270,3 +274,10 @@ class TestJdSmallest:
         a = build_laplacian(path_graph(3))
         with pytest.raises(ValueError, match="only 2 exist"):
             jd_smallest(a, 3)
+
+    def test_m_max_above_the_dense_cap_fails_before_any_product(self):
+        a = build_laplacian(random_connected_graph(600, extra_edges=900, seed=1))
+        counter = MvpCounter()
+        with pytest.raises(ValueError, match="m_max 600 exceeds"):
+            jd_smallest(a, 2, m_max=600, counter=counter)
+        assert counter.count == 0

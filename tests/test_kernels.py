@@ -2,13 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
-from lapeig.kernels import (
-    GramSchmidtBreakdown,
-    dense_sym_eig,
-    mgs_orthonormalize,
-    tridiag_eig,
-)
+from lapeig.kernels import GramSchmidtBreakdown, dense_sym_eig, mgs_orthonormalize
 
 
 class TestMgs:
@@ -48,33 +44,6 @@ class TestMgs:
         assert nrm == pytest.approx(5.0)
 
 
-class TestTridiagEig:
-    def test_three_point_stencil_values(self):
-        # alpha (1,2,1), beta (-1,-1) has spectrum {0, 1, 3}
-        vals, vecs = tridiag_eig(np.array([1.0, 2.0, 1.0]), np.array([-1.0, -1.0]))
-        assert np.allclose(vals, [0.0, 1.0, 3.0], atol=1e-14)
-        t = np.diag([1.0, 2.0, 1.0]) + np.diag([-1.0, -1.0], 1) + np.diag([-1.0, -1.0], -1)
-        assert np.abs(vecs.T @ vecs - np.eye(3)).max() <= 1e-14
-        assert np.abs(t @ vecs - vecs * vals).max() <= 1e-13
-
-    def test_single_entry(self):
-        vals, vecs = tridiag_eig(np.array([-2.5]), np.zeros(0))
-        assert vals.tolist() == [-2.5]
-        assert vecs.tolist() == [[1.0]]
-
-    def test_matches_numpy_on_random_tridiagonals(self, rng):
-        for n in (1, 2, 7, 50):
-            alpha = rng.standard_normal(n)
-            beta = rng.standard_normal(n - 1) if n > 1 else np.zeros(0)
-            vals, vecs = tridiag_eig(alpha, beta)
-            t = np.diag(alpha)
-            if n > 1:
-                t += np.diag(beta, 1) + np.diag(beta, -1)
-            want = np.linalg.eigvalsh(t)
-            assert np.abs(vals - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
-            assert np.abs(t @ vecs - vecs * vals).max() <= 1e-10
-
-
 class TestDenseSymEig:
     def test_two_by_two_closed_form(self):
         vals, vecs = dense_sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
@@ -95,11 +64,13 @@ class TestDenseSymEig:
             assert np.abs(h @ vecs - vecs * vals).max() <= 1e-10 * scale
 
     def test_agrees_with_tridiag_path(self, rng):
+        # a Lanczos basis grows a tridiagonal projected matrix; LAPACK's
+        # tridiagonal solver is the reference
         for n in (2, 9, 50):
             alpha = rng.standard_normal(n)
             beta = rng.standard_normal(n - 1)
             t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-            vals_t, _ = tridiag_eig(alpha, beta)
+            vals_t, _ = eigh_tridiagonal(alpha, beta)
             vals_d, _ = dense_sym_eig(t)
             assert np.abs(vals_t - vals_d).max() <= 1e-10 * max(1.0, np.abs(vals_t).max())
 

@@ -7,7 +7,7 @@ from lapeig.generators import path_graph, random_connected_graph
 from lapeig.graphs import build_laplacian
 from lapeig.ic0 import ic0_factorize
 from lapeig.pcg import DeflationBasis, jd_correction_solve, kernel_basis, pcg_solve
-from lapeig.sparse import CsrMatrix, spmv
+from lapeig.sparse import CsrMatrix, MvpCounter, spmv
 from tests.conftest import random_spd
 
 
@@ -15,16 +15,6 @@ class TestDeflationBasis:
     def test_rejects_non_orthonormal_columns(self):
         with pytest.raises(ValueError):
             DeflationBasis(np.ones((4, 2)))
-
-    def test_empty_and_single(self):
-        empty = DeflationBasis.empty(5)
-        assert (empty.n, empty.k) == (5, 0)
-        v = np.array([2.0, 0.0, 0.0])
-        single = DeflationBasis.single(v)
-        assert single.k == 1
-        assert np.allclose(single.columns[:, 0], [1.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            DeflationBasis.single(np.zeros(3))
 
     def test_project_out_removes_span(self, rng):
         basis = DeflationBasis(np.linalg.qr(rng.standard_normal((12, 4)))[0])
@@ -89,7 +79,7 @@ class TestPcgSolve:
             r, c = np.nonzero(dense)
             a = CsrMatrix.from_coo(n, r, c, dense[r, c], symmetric=True)
             b = rng.standard_normal(n)
-            out = pcg_solve(lambda x, cnt: spmv(a, x, cnt), None, b, 1e-12, 10 * n)
+            out = pcg_solve(a, None, b, 1e-12, 10 * n)
             assert out.converged
             # conjugate directions terminate within n steps on these
             # well-conditioned systems; steepest descent would not
@@ -104,12 +94,13 @@ class TestPcgSolve:
         a = CsrMatrix.from_coo(n, r, c, dense[r, c], symmetric=True)
         b = rng.standard_normal(n)
         exact = np.linalg.solve(dense, b)
+        its = pcg_solve(a, None, b, 1e-12, 10 * n).iterations
+        # CG is deterministic, so a run capped at k iterations ends on
+        # the k-th iterate of the full run
         errors = []
-        def watch(x):
-            d = x - exact
+        for k in range(1, its + 1):
+            d = pcg_solve(a, None, b, 1e-12, k).solution - exact
             errors.append(float(d @ (dense @ d)))
-        pcg_solve(lambda x, cnt: spmv(a, x, cnt), None, b, 1e-12, 10 * n,
-                  callback=watch)
         errors = np.array(errors)
         assert np.all(np.diff(errors) <= 1e-12 * max(1.0, errors[0]))
 
@@ -117,12 +108,13 @@ class TestPcgSolve:
         l = build_laplacian(random_connected_graph(30, extra_edges=40, seed=2, weighted=True))
         kb = kernel_basis(30)
         b = kb.project_out(rng.standard_normal(30))
-        overlaps = []
-        out = pcg_solve(
-            lambda x, cnt: spmv(l, x, cnt), ic0_factorize(l), b, 1e-10, 300,
-            deflation=kb, callback=lambda x: overlaps.append(np.abs(kb.columns.T @ x).max()),
-        )
+        f = ic0_factorize(l)
+        out = pcg_solve(l, f, b, 1e-10, 300, deflation=kb)
         assert out.converged
+        # the k-th iterate is the solution of a run capped at k iterations
+        iterates = [pcg_solve(l, f, b, 1e-10, k, deflation=kb).solution
+                    for k in range(1, out.iterations + 1)]
+        overlaps = [np.abs(kb.columns.T @ x).max() for x in iterates]
         assert max(overlaps) <= 1e-9
         # solution actually solves the system on the complement
         assert np.linalg.norm(kb.project_out(spmv(l, out.solution)) - b) <= 1e-8
@@ -139,8 +131,8 @@ class TestPcgSolve:
                 calls.append(1)
                 return kb.project_out(v)
 
-        out = pcg_solve(lambda x, cnt: spmv(l, x, cnt), ic0_factorize(l),
-                        rng.standard_normal(30), 1e-10, 300, deflation=CountingBasis())
+        out = pcg_solve(l, ic0_factorize(l), rng.standard_normal(30), 1e-10, 300,
+                        deflation=CountingBasis())
         assert out.converged
         # b and the first z, then A p and z each iteration; the converged
         # last iteration needs no z
@@ -148,7 +140,7 @@ class TestPcgSolve:
 
     def test_zero_rhs_short_circuits(self):
         a = CsrMatrix.identity(4)
-        out = pcg_solve(lambda x, cnt: spmv(a, x, cnt), None, np.zeros(4), 1e-12, 10)
+        out = pcg_solve(a, None, np.zeros(4), 1e-12, 10)
         assert out.converged and out.iterations == 0
         assert np.array_equal(out.solution, np.zeros(4))
 
@@ -157,15 +149,29 @@ class TestPcgSolve:
         dense = random_spd(12, rng)
         vals, vecs = np.linalg.eigh(dense)
         theta = 0.5 * (vals[1] + vals[2])
-        shifted = dense - theta * np.eye(12)
-        r, c = np.nonzero(shifted)
-        a = CsrMatrix.from_coo(12, r, c, shifted[r, c], symmetric=True)
+        r, c = np.nonzero(dense)
+        a = CsrMatrix.from_coo(12, r, c, dense[r, c], symmetric=True)
         # push the rhs toward the negative-curvature directions
         b = vecs[:, 0] + 0.1 * rng.standard_normal(12)
-        out = pcg_solve(lambda x, cnt: spmv(a, x, cnt), None, b, 1e-12, 200)
+        out = pcg_solve(a, None, b, 1e-12, 200, shift=theta)
         assert out.indefinite
         assert not out.converged
         assert np.all(np.isfinite(out.solution))
+
+    def test_shift_solves_the_shifted_system(self, rng):
+        # below the smallest eigenvalue A - theta I stays definite
+        n = 30
+        dense = random_spd(n, rng)
+        theta = 0.5 * np.linalg.eigvalsh(dense)[0]
+        r, c = np.nonzero(dense)
+        a = CsrMatrix.from_coo(n, r, c, dense[r, c], symmetric=True)
+        b = rng.standard_normal(n)
+        counter = MvpCounter()
+        out = pcg_solve(a, None, b, 1e-12, 10 * n, counter=counter, shift=theta)
+        assert out.converged
+        assert counter.count == out.iterations
+        want = np.linalg.solve(dense - theta * np.eye(n), b)
+        assert np.linalg.norm(out.solution - want) <= 1e-8 * np.linalg.norm(want)
 
 
 class TestCorrectionSolve:

@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, note, settings
 from hypothesis import strategies as st
 
+from lapeig.bench import SOLVERS
 from lapeig.dacg import dacg_smallest
 from lapeig.generators import (
     complete_graph,
@@ -27,7 +28,6 @@ from lapeig.jd import jd_smallest
 from lapeig.results import SolverError, rayleigh_residuals
 
 DELTA = 1e-6
-SOLVERS = {"dacg": dacg_smallest, "jd": jd_smallest, "irlm": irlm_smallest}
 
 PROFILE = settings(
     derandomize=True,
