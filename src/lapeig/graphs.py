@@ -5,13 +5,23 @@ sorted, strictly positive weights, no self-loops, no duplicates).  The
 Laplacian L = D - A keeps every diagonal entry explicitly, so its
 stored nonzero count is n + 2m.
 
-Both readers take the file in one pass over whole arrays: numpy counts
-the fields of each line, one split and one map per column make arrays
-of them, and every row check is a vectorized mask.  A line number is
-worked out only when an error names it, for the first failing row.
+Both readers hand the rows of a file to numpy's C text parser
+(np.loadtxt), straight into int64, int64 and float64 columns, and check
+every row with one vectorized mask.  That read keeps only what it parses
+as the line-numbering path would and refuses the rest: a byte outside
+ASCII or a separator 0x1c-0x1f (loadtxt splits on them, bytes.split()
+does not), any loadtxt error or warning, a failed row check, a duplicate
+without symmetrize, and in Matrix Market a % after a field.  The
+line-numbering path then reads the file again: numpy counts the fields
+of each line, one split and one map per column make arrays of them, and
+an error names the first failing row and its line.  So every input gives
+the same EdgeList, or the same message and line, whichever path reads
+it; int() and float() also take a few fields loadtxt refuses (1_0).
 """
 
+import io
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,23 +54,24 @@ class EdgeList:
 
     def __init__(self, n_nodes, i, j, w):
         n_nodes = int(n_nodes)
-        i, j = np.array(i, dtype=np.int64), np.array(j, dtype=np.int64)
+        # _canonical makes new i and j; w is copied so the caller's stays writable
+        i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
         w = np.array(w, dtype=np.float64)
         if n_nodes < 1:
             raise ValueError("graph needs at least one node")
         if not (i.shape == j.shape == w.shape) or i.ndim != 1:
             raise ValueError("i, j, w must be 1-D arrays of equal length")
-        if i.size:
-            if i.min() < 0 or j.min() < 0 or i.max() >= n_nodes or j.max() >= n_nodes:
-                raise ValueError("node index out of range")
-            i, j, w, _, dup = _canonical(i, j, w)
-            for bad, say in ((i == j, "self-loop at node {i}"),
-                             (~np.isfinite(w), "non-finite weight {w} on edge ({i}, {j})"),
-                             (~(w > 0), "nonpositive weight {w} on edge ({i}, {j})"),
-                             (dup, "duplicate edge ({i}, {j})")):
-                if np.any(bad):
-                    k = int(np.argmax(bad))
-                    raise ValueError(say.format(i=i[k], j=j[k], w=w[k]))
+        if i.size and (i.min() < 0 or j.min() < 0 or i.max() >= n_nodes
+                       or j.max() >= n_nodes):
+            raise ValueError("node index out of range")
+        i, j, w, _, dup = _canonical(i, j, w)
+        for bad, say in ((i == j, "self-loop at node {i}"),
+                         (~np.isfinite(w), "non-finite weight {w} on edge ({i}, {j})"),
+                         (~(w > 0), "nonpositive weight {w} on edge ({i}, {j})"),
+                         (dup, "duplicate edge ({i}, {j})")):
+            if np.any(bad):
+                k = int(np.argmax(bad))
+                raise ValueError(say.format(i=i[k], j=j[k], w=w[k]))
         self.n_nodes = n_nodes
         self.i, self.j, self.w = i, j, w
         for arr in (self.i, self.j, self.w):
@@ -86,12 +97,13 @@ def _canonical(i, j, w):
     permutation applied (None when they already were in strictly
     increasing order), and the mask of pairs equal to the one before."""
     i, j = np.minimum(i, j), np.maximum(i, j)
-    step = np.diff(i)
-    if np.all((step > 0) | ((step == 0) & (np.diff(j) > 0))):
-        return i, j, w, None, np.zeros(step.size, dtype=bool)
+    # comparisons of neighbours, not np.diff: one byte per pair, not eight
+    tie = i[1:] == i[:-1]
+    if np.all((i[1:] > i[:-1]) | (tie & (j[1:] > j[:-1]))):
+        return i, j, w, None, np.zeros(tie.size, dtype=bool)
     order = np.lexsort((j, i))
     i, j = i[order], j[order]
-    return i, j, w[order], order, (np.diff(i) == 0) & (np.diff(j) == 0)
+    return i, j, w[order], order, (i[1:] == i[:-1]) & (j[1:] == j[:-1])
 
 
 @dataclass(frozen=True)
@@ -156,13 +168,16 @@ def _check_rows(rows, checks):
 def _merge_rows(n, i, j, w, symmetrize, rows):
     """Canonical EdgeList of parsed rows, i and j in either order.  Without
     symmetrize a repeated unordered pair is an error naming the line of its
-    second row; with it, repeats collapse to the maximum weight, so a
-    directed file yields max(w_uv, w_vu)."""
+    second row (a refusal when rows is None); with it, repeats collapse to
+    the maximum weight, so a directed file yields max(w_uv, w_vu)."""
     lo, hi, w, order, dup = _canonical(i, j, w)
     if np.any(dup) and not symmetrize:
+        if rows is None:
+            raise _Refused
         k = int(np.argmax(dup)) + 1
         raise GraphFormatError(f"duplicate edge ({lo[k]}, {hi[k]}); pass symmetrize "
                                "to merge", int(rows[order[k]]))
+    del order  # one word per row: drop it before EdgeList copies the columns
     if np.any(dup):
         keep = np.concatenate(([True], ~dup))
         lo, hi, w = lo[keep], hi[keep], np.maximum.reduceat(w, np.flatnonzero(keep))
@@ -199,7 +214,8 @@ def _parse_edge_list(data, symmetrize):
     return _merge_rows(n, a, b, w, symmetrize, rows)
 
 
-def _parse_matrix_market(data, symmetrize):
+def _matrix_market_field(data):
+    """The field type named by the %%MatrixMarket line that opens data."""
     header = data.split(b"\n", 1)[0].decode().strip()
     if not header.startswith("%%MatrixMarket"):
         raise GraphFormatError("missing %%MatrixMarket header", 1)
@@ -211,6 +227,11 @@ def _parse_matrix_market(data, symmetrize):
         raise GraphFormatError(f"unsupported field type {field!r}", 1)
     if symmetry not in ("symmetric", "general"):
         raise GraphFormatError(f"unsupported symmetry {symmetry!r}", 1)
+    return field
+
+
+def _parse_matrix_market(data, symmetrize):
+    field = _matrix_market_field(data)
     # after line 1, a line whose first field starts with % is a comment
     data, rows, counts, tokens = _table(data, rb"\n[ \t\r\x0b\x0c]*%[^\n]*", b"\n")
     skip, rows, counts = counts[0], rows[1:], counts[1:]
@@ -243,6 +264,84 @@ def _parse_matrix_market(data, symmetrize):
     return _merge_rows(size, a[off] - 1, b[off] - 1, np.abs(w[off]), symmetrize, rows[off])
 
 
+class _Refused(Exception):
+    """The C-parsed read does not take this file; the line-numbering path reads it."""
+
+
+# the first line at or after a position whose first field does not open a comment
+_EDGE_LIST_ROW = re.compile(rb"(?m)^[ \t\r\x0b\x0c]*[^\s#].*")
+_MATRIX_MARKET_ROW = re.compile(rb"(?m)^[ \t\r\x0b\x0c]*[^\s%].*")
+_PERCENT = re.compile(rb"%.*")
+
+
+def _sizes(line, width):
+    """The width fields of line as positive ints that fit int64, or _Refused."""
+    fields = line.split()
+    if len(fields) != width or not all(f.isdigit() and 0 < int(f) < 2**63 for f in fields):
+        raise _Refused
+    return [int(f) for f in fields]
+
+
+def _loadtxt(data, start, comment, names):
+    """The named columns (i, j: int64; w: float64) of the rows of data
+    after offset start, parsed by numpy's C tokenizer.  loadtxt splits
+    fields on the separators 0x1c-0x1f and on non-ASCII spaces, where
+    bytes.split() does not: the first are refused here, the second by the
+    ascii codec."""
+    if any(bytes([c]) in data for c in range(0x1c, 0x20)):
+        raise _Refused
+    stream = io.BytesIO(data)
+    stream.seek(start)
+    dtype = [(c, np.float64 if c == "w" else np.int64) for c in names]
+    # loadtxt only warns, of a file with no rows and, in older numpy, of an
+    # int read as a float; recording rather than raising keeps a warning in
+    # another thread from turning into an exception
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            table = np.loadtxt(stream, dtype=dtype, comments=comment, quotechar=None,
+                               ndmin=1, encoding="ascii")
+        except ValueError as err:
+            raise _Refused from err
+    if caught:
+        raise _Refused
+    return [table[c] for c in names]
+
+
+def _read_edge_list(data, symmetrize):
+    """The EdgeList of a well-formed edge list, C-parsed; _Refused otherwise."""
+    head = _EDGE_LIST_ROW.search(data)
+    if head is None:
+        raise _Refused
+    (n,) = _sizes(head.group().split(b"#", 1)[0], 1)
+    a, b, w = _loadtxt(data, head.end(), "#", "ijw")
+    if np.any((a < 0) | (a >= n) | (b < 0) | (b >= n) | (a == b)
+              | ~np.isfinite(w) | ~(w > 0)):
+        raise _Refused
+    return _merge_rows(n, a, b, w, symmetrize, None)
+
+
+def _read_matrix_market(data, symmetrize):
+    """The EdgeList of a well-formed Matrix Market file, C-parsed; _Refused otherwise."""
+    field = _matrix_market_field(data)
+    line2 = data.find(b"\n") + 1  # 0 when there is no second line
+    size = _MATRIX_MARKET_ROW.search(data, line2) if line2 else None
+    if size is None:
+        raise _Refused
+    n, cols, nnz = _sizes(size.group(), 3)
+    # loadtxt ends a row at any %, the line-numbering path only on a comment line
+    if n != cols or any(data[data.rfind(b"\n", 0, m.start()) + 1:m.start()].strip()
+                        for m in _PERCENT.finditer(data, size.end())):
+        raise _Refused
+    a, b, *w = _loadtxt(data, size.end(), "%", "ij" if field == "pattern" else "ijw")
+    w = w[0] if w else np.ones(a.size)
+    if a.size != nnz or np.any((a < 1) | (a > n) | (b < 1) | (b > n) | ~np.isfinite(w)
+                               | ((a != b) & (w == 0))):
+        raise _Refused
+    off = a != b
+    return _merge_rows(n, a[off] - 1, b[off] - 1, np.abs(w[off]), symmetrize, None)
+
+
 def load_edge_list(source, format="edgelist", symmetrize=False):
     """Read a graph from a path, bytes or an open text stream.
 
@@ -254,14 +353,20 @@ def load_edge_list(source, format="edgelist", symmetrize=False):
         raise ValueError(f"unknown format {format!r}")
     # text mode reads any line end as \n, as the stream of an open file does
     if isinstance(source, (str, Path)):
-        data = Path(source).read_text(encoding="utf-8").encode()
+        data = Path(source).read_bytes()
+        if not data.isascii() or b"\r" in data:  # else decoding changes nothing
+            data = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read().encode()
     elif isinstance(source, bytes):
         source.decode("utf-8")  # reject what is not UTF-8, as a file read would
         data = source
     else:
         data = source.read().encode()
-    parser = _parse_edge_list if format == "edgelist" else _parse_matrix_market
-    return parser(data, symmetrize)
+    read, parse = ((_read_edge_list, _parse_edge_list) if format == "edgelist"
+                   else (_read_matrix_market, _parse_matrix_market))
+    try:
+        return read(data, symmetrize)
+    except _Refused:
+        return parse(data, symmetrize)
 
 
 def build_laplacian(g):

@@ -184,14 +184,16 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
     Acceptance requires every pair to satisfy
     ||A u - theta u|| / theta <= delta with freshly computed products.
     """
+    # the cap is checked before solver_setup factors IC(0); a neig above
+    # usable is left to solver_setup's own message
+    usable = a.n - (1 if null_basis is None else null_basis.k)
+    if neig <= usable and min(neig + 2, usable) > DENSE_EIG_MAX_DIM:
+        raise ValueError(f"neig {neig} needs a basis of {neig + 2}, above the "
+                         f"dense solver cap {DENSE_EIG_MAX_DIM}")
     counter, null_basis, f, start = solver_setup(a, neig, counter, null_basis, f, 0)
     if delta_pcg is None:
         delta_pcg = 1e-2 * delta
     ncv_eff = ncv_for(neig) if ncv is None else int(ncv)
-    usable = a.n - null_basis.k
-    if min(neig + 2, usable) > DENSE_EIG_MAX_DIM:
-        raise ValueError(f"neig {neig} needs a basis of {neig + 2}, above the "
-                         f"dense solver cap {DENSE_EIG_MAX_DIM}")
     ncv_eff = min(max(ncv_eff, neig + 2), usable, DENSE_EIG_MAX_DIM)
     rng = np.random.default_rng(seed)
 

@@ -28,6 +28,13 @@ _MAX_OUTER_PER_PAIR = 300
 _STAGNATION_WINDOW = 60
 
 
+def _check_bounds(m_min, m_max):
+    if not 0 < m_min < m_max:
+        raise ValueError("need 0 < m_min < m_max")
+    if m_max > DENSE_EIG_MAX_DIM:
+        raise ValueError(f"m_max {m_max} exceeds the dense cap {DENSE_EIG_MAX_DIM}")
+
+
 class JdWorkspace:
     """Search basis V after the guard, its image W = A V and H = V'AV.
 
@@ -36,10 +43,7 @@ class JdWorkspace:
     """
 
     def __init__(self, guard, m_min, m_max):
-        if not 0 < m_min < m_max:
-            raise ValueError("need 0 < m_min < m_max")
-        if m_max > DENSE_EIG_MAX_DIM:
-            raise ValueError(f"m_max {m_max} exceeds the dense cap {DENSE_EIG_MAX_DIM}")
+        _check_bounds(m_min, m_max)
         self.guard = guard
         self.m_min = int(m_min)
         self.w_buf = np.zeros((guard.n, m_max), order="F")
@@ -118,6 +122,7 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
     projected onto the complement of kernel, locked pairs and the
     current Ritz vector.
     """
+    _check_bounds(m_min, m_max)  # before solver_setup factors IC(0) and sizes the guard
     counter, guard, f, start = solver_setup(a, neig, counter, null_basis,
                                             f, neig + m_max)
     rng = np.random.default_rng(seed)

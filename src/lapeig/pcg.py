@@ -62,7 +62,8 @@ class DeflationBasis:
         """v minus its orthogonal projection onto the basis span."""
         v = np.asarray(v, dtype=np.float64)
         q = self.buffer[:, : self.k]
-        return v - q @ (q.T @ v)
+        # np.dot, not @: for one column @ skips BLAS, same bits either way
+        return v - np.dot(q, np.dot(q.T, v))
 
 
 def kernel_basis(n, labels=None):

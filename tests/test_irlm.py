@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lapeig.irlm
+import lapeig.results
 from lapeig.generators import (
     complete_graph,
     cycle_graph,
@@ -305,6 +306,17 @@ class TestIrlmSmallest:
         with pytest.raises(ValueError, match="dense solver cap 512"):
             irlm_smallest(a, 511, counter=counter)
         assert counter.count == 0
+
+    def test_basis_above_the_dense_cap_fails_before_the_set_up(self, monkeypatch):
+        def no_factor(a):
+            raise AssertionError("IC(0) factored for a call the cap refuses")
+
+        monkeypatch.setattr(lapeig.results, "ic0_factorize", no_factor)
+        a = build_laplacian(random_connected_graph(600, extra_edges=900, seed=1))
+        with pytest.raises(ValueError, match="dense solver cap 512"):
+            irlm_smallest(a, 511)
+        with pytest.raises(ValueError, match="only 599 exist"):
+            irlm_smallest(a, 700)  # too many pairs is still solver_setup's message
 
     def test_basis_is_capped_at_the_dense_solver(self, monkeypatch):
         monkeypatch.setattr(lapeig.irlm, "DENSE_EIG_MAX_DIM", 12)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import lapeig.results
 from lapeig.generators import (
     complete_graph,
     cycle_graph,
@@ -274,6 +275,15 @@ class TestJdSmallest:
         a = build_laplacian(path_graph(3))
         with pytest.raises(ValueError, match="only 2 exist"):
             jd_smallest(a, 3)
+
+    def test_m_max_above_the_dense_cap_fails_before_the_set_up(self, monkeypatch):
+        def no_factor(a):
+            raise AssertionError("IC(0) factored for a call the cap refuses")
+
+        monkeypatch.setattr(lapeig.results, "ic0_factorize", no_factor)
+        a = build_laplacian(random_connected_graph(600, extra_edges=900, seed=1))
+        with pytest.raises(ValueError, match="m_max 600 exceeds"):
+            jd_smallest(a, 2, m_max=600)
 
     def test_m_max_above_the_dense_cap_fails_before_any_product(self):
         a = build_laplacian(random_connected_graph(600, extra_edges=900, seed=1))

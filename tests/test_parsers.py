@@ -9,13 +9,16 @@ one-line mutations.  Both readers must return bitwise-equal arrays, or
 raise GraphFormatError with the same message and line.
 """
 
+import contextlib
 import io
 import math
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import lapeig.graphs
 from lapeig.graphs import EdgeList, GraphFormatError, load_edge_list
 
 PROFILE = settings(
@@ -343,3 +346,99 @@ class TestReadersMatchTheLoops:
     def test_mutated_matrix_market_fails_alike(self, case):
         got, want = read_both(case[0], "mtx", case[1])
         assert got == want
+
+
+@contextlib.contextmanager
+def no_line_path():
+    """Fail the test if a line-numbering reader is reached."""
+    def refuse(data, symmetrize):
+        raise AssertionError("read by the line-numbering path")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lapeig.graphs, "_parse_edge_list", refuse)
+        patch.setattr(lapeig.graphs, "_parse_matrix_market", refuse)
+        yield
+
+
+def data_rows(text, comment):
+    """Lines holding a field before any comment, less the count or size line."""
+    return sum(bool(line.split(comment, 1)[0].split()) for line in text.splitlines()) - 1
+
+
+MM_HEAD = "%%MatrixMarket matrix coordinate {} general\n"
+WELL_FORMED = [
+    ("edgelist", "# a graph\r\n\r\n3  # nodes\r\n0\t1\t1.5\r\n# note\r\n \r\n"
+                 "2 1 2.5e-3  # tail\r\n", [(0, 1, 1.5), (1, 2, 2.5e-3)]),
+    ("edgelist", "4\n 3\t 0 \t0.25\n\n1 2 7 # integer weight\n", [(0, 3, 0.25), (1, 2, 7.0)]),
+    ("mtx", MM_HEAD.format("real") + "% made by hand\n3 3 4\n1\t1 2.0\r\n"
+            "% between entries\n  % indented\n\n2 1 -1.5\n3\t2\t-0.5\n3 3 1e0\n",
+     [(0, 1, 1.5), (1, 2, 0.5)]),
+    ("mtx", MM_HEAD.format("integer") + "3 3 2\r\n2 1 -4\r\n3 1 9\r\n",
+     [(0, 1, 4.0), (0, 2, 9.0)]),
+    ("mtx", MM_HEAD.format("pattern") + "\n3 3 2\n2\t1\n% last\n3 2\n",
+     [(0, 1, 1.0), (1, 2, 1.0)]),
+]
+
+# inputs on which np.loadtxt and the line-numbering path disagree: each
+# gives what the line-numbering path gives, arrays or message and line
+DISAGREEING = [
+    ("edgelist", "3\n0 1 1.0\n1.0 2 1.0\n", ("could not parse edge '1.0 2 1.0'", 3)),
+    ("mtx", MM_HEAD.format("real") + "3 3 1\n2.0 1 1.0\n",
+     ("could not parse entry '2.0 1 1.0'", 3)),
+    ("edgelist", "3\n0 1 1_0\n", [(0, 1, 10.0)]),
+    ("edgelist", "12\n1_0 2 1.0\n", [(2, 10, 1.0)]),
+    ("mtx", MM_HEAD.format("real") + "12 12 1\n1_1 2 1_5\n", [(1, 10, 15.0)]),
+    ("edgelist", f"3\n0 1 1.0\n1 {2**63} 1.0\n", (f"could not parse edge '1 {2**63} 1.0'", 3)),
+    ("mtx", MM_HEAD.format("real") + "3 3 2\n2 1 1.0\n3 2 2.0 % note\n",
+     ("expected 3 fields, got '3 2 2.0 % note'", 4)),
+    ("mtx", MM_HEAD.format("real") + "3 3 1\n2 1 1.0%\n", ("could not parse entry '2 1 1.0%'", 3)),
+    ("edgelist", "5\n", []),
+    ("edgelist", "# only\n\n  7 # nodes\n# none\n", []),
+    ("mtx", MM_HEAD.format("real") + "% c\n4 4 0\n", []),
+    # int() and float() on bytes refuse a full-width digit as loadtxt does
+    ("edgelist", "3\n0 1 \uff12.5\n", ("could not parse edge '0 1 \uff12.5'", 2)),
+    # loadtxt splits on these, bytes.split() does not
+    ("edgelist", "3\n0 1 1.0\u00a0\n", ("could not parse edge '0 1 1.0\\xa0'", 2)),
+    ("edgelist", "3\n0\x1c1 1.0\n", ("expected 'i j w', got '0\\x1c1 1.0'", 2)),
+    # a lone carriage return is no line end in bytes
+    ("edgelist", "3\n0 1 1.0\r1 2 2.0\n", ("expected 'i j w', got '0 1 1.0\\r1 2 2.0'", 2)),
+    ("edgelist", "3\n0 1 1.0 # na\u00efve\n1 2 2.0\n", [(0, 1, 1.0), (1, 2, 2.0)]),
+]
+
+
+class TestCParsedRead:
+    @pytest.mark.parametrize("fmt, text, pairs", WELL_FORMED)
+    def test_well_formed_files_skip_the_line_path(self, tmp_path, fmt, text, pairs):
+        path = tmp_path / "graph"
+        path.write_bytes(text.encode())
+        with no_line_path():
+            for source in (text.encode(), io.StringIO(text), path):
+                assert load_edge_list(source, format=fmt).pairs() == pairs
+
+    @settings(PROFILE, max_examples=100)
+    @given(case=edge_list_cases(mutated=False))
+    def test_generated_edge_lists_skip_the_line_path(self, case):
+        assume(data_rows(case[0], "#") > 0)  # a count alone is "no data" to loadtxt
+        want = outcome(lambda: reference_parse_edge_list(io.StringIO(case[0]), case[1]))
+        with no_line_path():
+            got = outcome(lambda: load_edge_list(case[0].encode(), symmetrize=case[1]))
+        assert got == want
+
+    @settings(PROFILE, max_examples=100)
+    @given(case=matrix_market_cases(mutated=False))
+    def test_generated_matrix_market_skips_the_line_path(self, case):
+        assume(data_rows(case[0], "%") > 0)
+        want = outcome(lambda: reference_parse_matrix_market(io.StringIO(case[0]), case[1]))
+        with no_line_path():
+            got = outcome(lambda: load_edge_list(case[0].encode(), format="mtx",
+                                                 symmetrize=case[1]))
+        assert got == want
+
+    @pytest.mark.parametrize("fmt, text, want", DISAGREEING)
+    def test_disagreements_read_as_the_line_path_does(self, fmt, text, want):
+        if isinstance(want, list):
+            assert load_edge_list(text.encode(), format=fmt).pairs() == want
+        else:
+            with pytest.raises(GraphFormatError) as err:
+                load_edge_list(text.encode(), format=fmt)
+            assert (str(err.value), err.value.line) == (f"line {want[1]}: {want[0]}", want[1])

@@ -24,6 +24,15 @@ class TestDeflationBasis:
         # idempotent
         assert np.allclose(basis.project_out(w), w, atol=1e-14)
 
+    @pytest.mark.parametrize("k", [1, 2, 11, 41])
+    def test_project_out_is_bitwise_the_matmul_form(self, rng, k):
+        # np.dot replaced v - q @ (q.T @ v); the solvers' bits must not move
+        basis = DeflationBasis(np.linalg.qr(rng.standard_normal((3000, k)))[0], k + 3)
+        q = basis.columns
+        for _ in range(5):
+            v = rng.standard_normal(3000)
+            assert basis.project_out(v).tobytes() == (v - q @ (q.T @ v)).tobytes()
+
     def test_push_grows_in_place(self):
         basis = DeflationBasis(np.zeros((6, 0)), capacity=2)
         buffer = basis.buffer
@@ -203,3 +212,22 @@ class TestCorrectionSolve:
             s = jd_correction_solve(l, 1.0, q, residual, precond, 1e-2, 20)
             assert np.linalg.norm(s) > 0
             assert np.abs(q.columns.T @ s).max() <= 1e-9
+
+    def test_solves_the_shifted_system_on_the_complement(self, rng):
+        # a Ritz pair near the smallest eigenpair, as Jacobi-Davidson hands it over
+        l = build_laplacian(random_connected_graph(40, extra_edges=50, seed=3, weighted=True))
+        dense = l.toarray()
+        vals, vecs = np.linalg.eigh(dense)
+        u = vecs[:, 1] + 1e-2 * kernel_basis(40).project_out(rng.standard_normal(40))
+        u /= np.linalg.norm(u)
+        theta = float(u @ dense @ u)
+        assert theta < vals[2]  # definite on the complement of [kernel, u]
+        residual = dense @ u - theta * u
+        q = DeflationBasis(kernel_basis(40).columns, capacity=2)
+        q.push(u)
+        # dense oracle: s = Z (Z'(A - theta I)Z)^-1 Z'(-r), Z spanning the complement of Q
+        z = np.linalg.svd(q.columns, full_matrices=True)[0][:, q.k:]
+        want = z @ np.linalg.solve(z.T @ (dense - theta * np.eye(40)) @ z, -z.T @ residual)
+        for precond in (ic0_factorize(l), None):
+            s = jd_correction_solve(l, theta, q, residual, precond, 1e-13, 400)
+            assert np.linalg.norm(s - want) <= 1e-9 * np.linalg.norm(want)
