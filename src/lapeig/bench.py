@@ -16,16 +16,16 @@ import numpy as np
 
 from .dacg import dacg_smallest
 from .graphs import (
-    EdgeList,
     build_laplacian,
     connected_components,
+    drop_isolated,
     largest_component,
     load_edge_list,
 )
 from .ic0 import ic0_factorize
 from .irlm import irlm_smallest
 from .jd import jd_smallest
-from .results import SolverError, SolverReport, rayleigh_residuals
+from .results import SolverError, SolverReport, rayleigh_residuals, spent
 from .sparse import MvpCounter
 
 # the one map from solver names to solvers, in the order reports list them
@@ -96,9 +96,8 @@ def run_graph(edges, config):
     names = config.selection()
     n, m = edges.n_nodes, edges.m
     if config.allow_disconnected:
-        # search only the nodes on an edge, renumbered in order: O(m), same component kept
-        nodes, ends = np.unique(np.concatenate([edges.i, edges.j]), return_inverse=True)
-        edges, _ = largest_component(EdgeList(max(nodes.size, 1), ends[:m], ends[m:], edges.w))
+        # search only the nodes on an edge: O(m), same component kept
+        edges, _ = largest_component(drop_isolated(edges))
     else:
         # more nodes than edges + 1 is disconnected: known before any O(n) array
         ncomp = f"at least {n - m}" if n > m + 1 else connected_components(edges)[0]
@@ -130,20 +129,16 @@ def run_graph(edges, config):
         try:
             pairs, report = _run_one(name, a, neig, f, config, counter)
         except SolverError as err:
-            wall = time.perf_counter() - t0
-            failed = SolverReport(
+            fields, ledger = spent(counter)
+            reports.append(SolverReport(
                 solver=name,
                 neig=neig,
                 delta=config.delta,
-                mvp=counter.count,
-                outer_its=0,
-                inner_its_total=0,
-                wall_seconds=wall,
+                **fields,
+                wall_seconds=time.perf_counter() - t0,
                 converged=False,
-            )
-            failed.config = dict(echo)
-            failed.config["error"] = str(err)
-            reports.append(failed)
+                config={**echo, **ledger, "error": str(err)},
+            ))
             continue
         report.wall_seconds = time.perf_counter() - t0
 

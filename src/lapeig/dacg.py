@@ -80,8 +80,6 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
     reset_period = max(1, a.n // 10)
 
     vals, vecs, resids, per_pair = [], [], [], []
-    outer_mvps = 0
-    verify_mvps = 0
 
     for pair_idx in range(neig):
         if pair_idx == 0 and x0 is not None:
@@ -95,7 +93,6 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
                               "deflated subspace")
         x /= nrm
         ax = spmv(a, x, counter)
-        outer_mvps += 1
         q = float(x @ ax)
         grad = 2.0 * (ax - q * x)
         p = None
@@ -112,7 +109,6 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
                 xc = guard.project_out(x)
                 xc /= np.linalg.norm(xc)
                 ok, theta, relres, w = fresh_accept(a, xc, delta, counter)
-                verify_mvps += 1
                 if ok:
                     accepted = (theta, xc, relres)
                     break
@@ -145,7 +141,7 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
                         f"iteration {its}"
                     )
                 p -= (x @ p) * x
-            ap = spmv(a, p, counter)
+            ap = spmv(a, p, counter, "inner")
             mu, al, be = _plane_minimize(x, ax, p, ap)
             x_new = al * x + be * p
             ax_new = al * ax + be * ap
@@ -178,7 +174,5 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
         guard.push(u)
 
     return solver_result(
-        "dacg", delta, counter, start, vals, vecs, resids,
-        outer_its=0, inner_its_total=int(np.sum(per_pair)),
-        mvp_outer=outer_mvps, mvp_verify=verify_mvps, restarts=0, seed=seed,
+        "dacg", delta, counter, start, vals, vecs, resids, restarts=0, seed=seed,
         maxit_per_pair=_MAXIT_PER_PAIR, iterations_per_pair=per_pair)

@@ -74,7 +74,7 @@ def inverse_lanczos_step(state, a, f, delta_pcg, null_basis, counter=None):
     w'v, runs the recurrence against the filled column of h followed
     by full two-pass reorthogonalization, and either appends the
     normalized remainder or flags breakdown when its norm drops below
-    1e-12 of the solution scale.  Returns the PCG iteration count.
+    1e-12 of the solution scale.
     """
     if not state.has_pending:
         raise SolverError("no pending vector to expand (breakdown not handled)")
@@ -104,7 +104,6 @@ def inverse_lanczos_step(state, a, f, delta_pcg, null_basis, counter=None):
     else:
         h[m, m + 1] = h[m + 1, m] = b
         state.basis.push(w / b)
-    return out.iterations
 
 
 def _sorted_ritz(state):
@@ -118,11 +117,11 @@ def _sorted_ritz(state):
 def _check_convergence(state, ritz, a, neig, delta, counter):
     """Verify the leading Ritz pairs of ritz = _sorted_ritz(state).
 
-    Returns ((values, vectors, residuals) or None, verify_mvps); every
-    pair must pass the fresh-product acceptance test.
+    Returns (values, vectors, residuals), or None unless every pair
+    passes the fresh-product acceptance test.
     """
     if state.m < neig:
-        return None, 0
+        return None
     _, y = ritz
     vmat = state.basis.columns[:, : state.m]
     thetas, vecs, resids = [], [], []
@@ -131,11 +130,11 @@ def _check_convergence(state, ritz, a, neig, delta, counter):
         u /= np.linalg.norm(u)
         ok, theta, relres, _ = fresh_accept(a, u, delta, counter)
         if not ok:
-            return None, i + 1
+            return None
         thetas.append(theta)
         vecs.append(u)
         resids.append(relres)
-    return (thetas, vecs, resids), neig
+    return thetas, vecs, resids
 
 
 def _thick_restart(state, ritz, neig, null_basis):
@@ -202,22 +201,16 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
     v1, _ = mgs_orthonormalize(v0, null_basis.columns)
     state = LanczosState(v1, ncv_eff)
 
-    solves = 0
-    inner_total = 0
-    verify_total = 0
     restarts = 0
     for _cycle in range(_MAX_RESTARTS + 1):
         while state.m < ncv_eff and not state.breakdown:
-            inner_total += inverse_lanczos_step(state, a, f, delta_pcg,
-                                                null_basis, counter=counter)
-            solves += 1
+            inverse_lanczos_step(state, a, f, delta_pcg, null_basis, counter=counter)
         # a vanished residual can hide extra copies of an eigenvalue,
         # so resume with a random direction before judging convergence
         if state.breakdown and _insert_random(state, null_basis, rng):
             continue
         ritz = _sorted_ritz(state)
-        found, used = _check_convergence(state, ritz, a, neig, delta, counter)
-        verify_total += used
+        found = _check_convergence(state, ritz, a, neig, delta, counter)
         if found is not None:
             break
         if state.breakdown:
@@ -234,7 +227,5 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
         restarts += 1
 
     return solver_result(
-        "irlm", delta, counter, start, *found,
-        outer_its=solves, inner_its_total=inner_total,
-        mvp_outer=0, mvp_verify=verify_total, restarts=restarts, seed=seed,
+        "irlm", delta, counter, start, *found, restarts=restarts, seed=seed,
         ncv=ncv_eff, delta_pcg=delta_pcg, maxit_inner=_MAXIT_INNER)

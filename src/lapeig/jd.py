@@ -128,10 +128,6 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
     rng = np.random.default_rng(seed)
 
     locked_vals, locked_vecs, locked_res = [], [], []
-    outer_solves = 0
-    inner_total = 0
-    outer_mvps = 0
-    verify_mvps = 0
     restarts = 0
 
     workspace = JdWorkspace(guard, m_min, m_max)
@@ -166,7 +162,6 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
                         "complement without meeting the tolerance"
                     ) from exc
             w_new = spmv(a, v_new, counter)
-            outer_mvps += 1
             workspace.append(v_new, w_new)
         ritz = dense_sym_eig(workspace.h)
         theta, u, r = workspace.rotate(ritz)
@@ -182,7 +177,6 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
         if res < delta * theta:
             u_fix, _ = mgs_orthonormalize(u, guard.columns)
             ok, theta_fix, relres, _ = fresh_accept(a, u_fix, delta, counter)
-            verify_mvps += 1
             if ok:
                 locked_vals.append(theta_fix)
                 locked_vecs.append(u_fix)
@@ -214,17 +208,12 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
             restarts += 1
         # the correction projects out [guard, u]: u is the column after
         # the guard, so the guard's prefix grows by one for the solve
-        before = counter.count
         guard.k += 1
         cand = jd_correction_solve(a, theta, guard, r, f, delta_pcg,
                                    itmax_inner, counter)
         guard.k -= 1
-        outer_solves += 1
-        inner_total += counter.count - before
 
     return solver_result(
         "jd", delta, counter, start, locked_vals, locked_vecs, locked_res,
-        outer_its=outer_solves, inner_its_total=inner_total,
-        mvp_outer=outer_mvps, mvp_verify=verify_mvps, restarts=restarts,
-        seed=seed, delta_pcg=delta_pcg, itmax_inner=itmax_inner,
-        m_min=m_min, m_max=m_max)
+        restarts=restarts, seed=seed, delta_pcg=delta_pcg,
+        itmax_inner=itmax_inner, m_min=m_min, m_max=m_max)

@@ -100,15 +100,17 @@ class PcgOutcome:
 def pcg_solve(a, precond, b, tol, maxit, deflation=None, counter=None, shift=0.0):
     """Conjugate gradients for (A - shift I) x = b on the deflation complement.
 
-    a is a CsrMatrix; each iteration charges one spmv to the counter
-    and subtracts shift * p in place when shift is nonzero.  precond is
-    None (identity) or an object with an apply method, such as an
-    Ic0Factor.  Neither needs to project: pcg_solve projects b once and
+    a is a CsrMatrix; the call counts one solve on the counter, and each
+    iteration one inner spmv, less shift * p when shift is nonzero.
+    precond is None (identity) or an object with an apply method, such
+    as an Ic0Factor.  Neither needs to project: pcg_solve projects b once and
     then, per iteration, the shifted product and the preconditioned
     residual, which keeps residuals, directions and iterates in the
     complement.  A nonpositive curvature p' (A - shift I) p stops the
     iteration immediately and flags the outcome indefinite.
     """
+    if counter is not None:
+        counter.solves += 1
     if deflation is None or deflation.k == 0:
         project = lambda v: v
     else:
@@ -128,7 +130,7 @@ def pcg_solve(a, precond, b, tol, maxit, deflation=None, counter=None, shift=0.0
     indefinite = False
     converged = False
     while it < maxit:
-        ap = spmv(a, p, counter)
+        ap = spmv(a, p, counter, "inner")
         if shift:
             ap -= shift * p
         ap = project(ap)

@@ -67,11 +67,10 @@ class EigenPairSet:
 class SolverReport:
     """Cost and convergence accounting for one solver run.
 
-    Every solver's config holds the ledger keys mvp_outer (products
-    outside the inner iterations: JD's expansions, DACG's start
-    products, none for IRLM), mvp_verify (fresh acceptance products),
-    restarts and seed, next to its own settings.  The ledger accounts
-    for every product: mvp == mvp_outer + inner_its_total + mvp_verify.
+    The cost fields come from the run's MvpCounter tallies (see spent),
+    so mvp == mvp_outer + inner_its_total + mvp_verify by construction;
+    config holds mvp_outer, mvp_verify, restarts and seed, then the
+    solver's own settings.
     """
 
     solver: str
@@ -94,7 +93,7 @@ def solver_setup(a, neig, counter, null_basis, f, room):
     null_basis.k], both checked before the costly IC(0) default.  Returns
     (counter, guard, f, start); guard copies null_basis with room for
     room more columns, so growing it never touches the caller's basis,
-    and start marks the run's clock and the counter's count at entry
+    and start marks the run's clock and the counter's tallies at entry
     for solver_result.
     """
     t0 = time.perf_counter()
@@ -114,35 +113,41 @@ def solver_setup(a, neig, counter, null_basis, f, room):
     if f is None:
         f = ic0_factorize(a)
     guard = DeflationBasis(null_basis.columns, null_basis.k + room)
-    return counter, guard, f, (t0, counter.count)
+    return counter, guard, f, (t0, counter.tallies())
 
 
 def fresh_accept(a, u, delta, counter):
-    """Judge the unit candidate u with one fresh product w = A u.
+    """Judge the unit candidate u with one fresh verify product w = A u.
 
     Returns (accepted, theta, relres, w) with theta = u'w and relres =
     ||w - theta u|| / theta, or inf when theta <= 0; u is accepted when
     theta > 0 and relres <= delta.
     """
-    w = spmv(a, u, counter)
+    w = spmv(a, u, counter, "verify")
     theta = float(u @ w)
     res = float(np.linalg.norm(w - theta * u))
     relres = res / theta if theta > 0 else np.inf
     return relres <= delta, theta, relres, w
 
 
+def spent(counter, marks=(0, 0, 0, 0)):
+    """A report's cost fields and config keys: what counter spent since marks, a tallies()."""
+    outer, inner, verify, solves = (t - m for t, m in zip(counter.tallies(), marks))
+    return (dict(mvp=outer + inner + verify, outer_its=solves, inner_its_total=inner),
+            dict(mvp_outer=outer, mvp_verify=verify))
+
+
 def solver_result(solver, delta, counter, start, vals, vecs, resids, *,
-                  outer_its, inner_its_total, mvp_outer, mvp_verify,
                   restarts, seed, **settings):
     """Sort the accepted pairs into an EigenPairSet and report the run.
 
     vals, vecs and resids list the accepted pairs in any order, one
-    unit vector per value; start is solver_setup's mark, so mvp counts
-    only this run's products even on a counter that was already
-    charged.  The config holds the ledger keys, then the solver's own
-    settings.
+    unit vector per value; start is solver_setup's mark, so the cost
+    fields count only this run's products even on a charged counter.
+    The config holds the ledger keys, then the solver's own settings.
     """
-    t0, mvp0 = start
+    t0, marks = start
+    fields, ledger = spent(counter, marks)
     order = np.argsort(vals, kind="stable")
     pairs = EigenPairSet(np.asarray(vals)[order],
                          np.column_stack(vecs)[:, order],
@@ -151,21 +156,18 @@ def solver_result(solver, delta, counter, start, vals, vecs, resids, *,
         solver=solver,
         neig=len(pairs),
         delta=delta,
-        mvp=counter.count - mvp0,
-        outer_its=outer_its,
-        inner_its_total=inner_its_total,
+        **fields,
         wall_seconds=time.perf_counter() - t0,
         converged=True,
         per_pair_residuals=pairs.residuals.tolist(),
         eigenvalues=pairs.values.tolist(),
-        config=dict(mvp_outer=mvp_outer, mvp_verify=mvp_verify,
-                    restarts=restarts, seed=seed, **settings),
+        config=dict(**ledger, restarts=restarts, seed=seed, **settings),
     )
     return pairs, report
 
 
 def rayleigh_residuals(a, vectors, counter=None):
-    """Rayleigh quotients and relative residuals, one fresh product per column."""
+    """Rayleigh quotients and relative residuals, one fresh verify product per column."""
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim == 1:
         vectors = vectors.reshape(-1, 1)
@@ -173,7 +175,7 @@ def rayleigh_residuals(a, vectors, counter=None):
     resids = np.zeros(vectors.shape[1])
     for k in range(vectors.shape[1]):
         u = vectors[:, k]
-        w = spmv(a, u, counter)
+        w = spmv(a, u, counter, "verify")
         nrm2 = float(u @ u)
         theta = float(u @ w) / nrm2
         denom = abs(theta) if theta != 0 else 1.0

@@ -4,7 +4,7 @@ CsrMatrix validates and freezes its CSR arrays and wraps them, without a
 copy, in a scipy.sparse.csr_array that does the arithmetic.  Every
 solver in this package charges its work to matrix-vector products with
 the operator, so the product is funneled through a single function,
-spmv, that ticks a shared counter.
+spmv, that ticks a shared counter under the kind of work it serves.
 """
 
 import numpy as np
@@ -12,18 +12,34 @@ from scipy.sparse import coo_array, csr_array
 
 
 class MvpCounter:
-    """Mutable tally of matrix-vector products."""
+    """The cost ledger: matrix-vector products, tallied by the layer that spends them.
 
-    __slots__ = ("count",)
+    outer counts products outside inner iterations (and the count given
+    to the constructor), inner one per PCG or DACG iteration, verify the
+    fresh acceptance products; solves counts inner solves, one per
+    pcg_solve call.  count is the sum of the three product tallies.
+    """
+
+    __slots__ = ("outer", "inner", "verify", "solves")
 
     def __init__(self, count=0):
-        self.count = int(count)
+        self.outer = int(count)
+        self.inner = self.verify = self.solves = 0
 
-    def increment(self, k=1):
-        self.count += k
+    @property
+    def count(self):
+        return self.outer + self.inner + self.verify
+
+    def increment(self, k=1, kind="outer"):
+        setattr(self, kind, getattr(self, kind) + k)
+
+    def tallies(self):
+        """(outer, inner, verify, solves), a snapshot to subtract later."""
+        return self.outer, self.inner, self.verify, self.solves
 
     def __repr__(self):
-        return f"MvpCounter(count={self.count})"
+        return (f"MvpCounter(outer={self.outer}, inner={self.inner}, "
+                f"verify={self.verify}, solves={self.solves})")
 
 
 class CsrMatrix:
@@ -109,11 +125,11 @@ class CsrMatrix:
         return self.csr.toarray()
 
 
-def spmv(a, x, counter=None):
-    """y = A x for a CsrMatrix, charging one product to the counter."""
+def spmv(a, x, counter=None, kind="outer"):
+    """y = A x for a CsrMatrix, charging one product to the counter's kind tally."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (a.n,):
         raise ValueError(f"vector length {x.shape} does not match matrix dimension {a.n}")
     if counter is not None:
-        counter.increment()
+        counter.increment(1, kind)
     return a.csr @ x

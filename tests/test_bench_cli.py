@@ -125,6 +125,16 @@ class TestRunGraph:
         assert by_name["dacg"].converged
         assert by_name["irlm"].converged
 
+    def test_failed_run_keeps_the_ledger(self, monkeypatch):
+        # three outer steps, then the per-pair cap stops JD
+        monkeypatch.setattr(lapeig.jd, "_MAX_OUTER_PER_PAIR", 3)
+        edges = random_connected_graph(200, extra_edges=300, seed=1)
+        (report,) = run_graph(edges, RunConfig(solver="jd", neig=3))
+        assert not report.converged
+        assert "outer iterations" in report.config["error"]
+        assert (report.mvp, report.outer_its, report.inner_its_total) == (8, 3, 5)
+        assert (report.config["mvp_outer"], report.config["mvp_verify"]) == (3, 0)
+
     def test_unknown_solver_is_rejected_before_factoring(self, monkeypatch):
         calls = []
 

@@ -310,6 +310,13 @@ class TestStats:
         g = EdgeList(4, [0, 2], [1, 3], [1.0, 1.0])
         assert stats(g).components == 2
 
+    @pytest.mark.parametrize("n, i, j, count", [
+        (6, [1, 4], [3, 5], 4), (3, [], [], 3), (1, [], [], 1),
+        # no array of n entries is made, so a hostile node count is counted
+        (10**13, [0], [1], 10**13 - 1)])
+    def test_isolated_nodes_counted(self, n, i, j, count):
+        assert stats(EdgeList(n, i, j, [1.0] * len(i))).components == count
+
 
 class TestMatrixMarketWriter:
     def test_round_trip(self):

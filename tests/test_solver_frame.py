@@ -11,7 +11,7 @@ from lapeig.graphs import build_laplacian
 from lapeig.irlm import irlm_smallest
 from lapeig.jd import jd_smallest
 from lapeig.pcg import DeflationBasis, kernel_basis
-from lapeig.results import fresh_accept
+from lapeig.results import fresh_accept, rayleigh_residuals
 from lapeig.sparse import CsrMatrix, MvpCounter
 
 LEDGER_KEYS = {"mvp_outer", "mvp_verify", "restarts", "seed"}
@@ -48,16 +48,23 @@ SOLVERS = {
 }
 
 
-# each solver with its own counter, then with a caller's counter that
-# was charged before the run; explicit ids keep the first three names
+# each solver with its own counter, with a fresh caller's counter, then
+# with a caller's counter whose every tally was charged before the run;
+# explicit ids keep the first three names
 @pytest.mark.parametrize(
     "name, charged",
-    [(name, charged) for charged in (0, 1000) for name in sorted(SOLVERS)],
-    ids=[*sorted(SOLVERS), *(f"{name}-precharged" for name in sorted(SOLVERS))])
+    [(name, charged) for charged in (None, 0, 1000) for name in sorted(SOLVERS)],
+    ids=[*sorted(SOLVERS), *(f"{name}-fresh" for name in sorted(SOLVERS)),
+         *(f"{name}-precharged" for name in sorted(SOLVERS))])
 def test_report_accounting_identity(name, charged):
     solve, solver_checks = SOLVERS[name]
     a = build_laplacian(random_connected_graph(50, extra_edges=60, seed=7))
-    counter = MvpCounter(charged) if charged else None
+    counter = None if charged is None else MvpCounter(charged)
+    if charged:
+        counter.increment(200, "inner")
+        counter.increment(30, "verify")
+        counter.solves = 4
+    before = None if counter is None else counter.tallies()
     pairs, report = solve(a, 5, delta=1e-6, seed=0, counter=counter)
     assert report.solver == name
     assert LEDGER_KEYS <= report.config.keys()
@@ -65,8 +72,12 @@ def test_report_accounting_identity(name, charged):
                           report.inner_its_total +
                           report.config["mvp_verify"])
     if counter is not None:
-        # the caller's counter still receives every product of the run
-        assert counter.count == charged + report.mvp
+        # the caller's counter receives every product of the run, each
+        # in the tally the report reads it from
+        assert counter.count == sum(before[:3]) + report.mvp
+        assert [now - then for now, then in zip(counter.tallies(), before)] == [
+            report.config["mvp_outer"], report.inner_its_total,
+            report.config["mvp_verify"], report.outer_its]
     # at least one acceptance product per pair
     assert report.config["mvp_verify"] >= 5
     assert report.config["seed"] == 0
@@ -136,7 +147,7 @@ class TestFreshAccept:
         counter = MvpCounter()
         ok, theta, relres, w = fresh_accept(a, vecs[:, 1], 1e-10, counter)
         assert ok
-        assert counter.count == 1
+        assert counter.tallies() == (0, 0, 1, 0)
         assert theta == pytest.approx(vals[1], rel=1e-14)
         assert relres < 1e-14
         assert np.allclose(w, a.toarray() @ vecs[:, 1])
@@ -157,6 +168,13 @@ class TestFreshAccept:
         assert relres == pytest.approx(np.linalg.norm(w - theta * u) / theta)
         assert relres > 1e-6
         assert not ok
+
+
+def test_rayleigh_residuals_charge_one_verify_product_per_column():
+    a = build_laplacian(random_connected_graph(6, extra_edges=4, seed=2))
+    counter = MvpCounter(5)
+    rayleigh_residuals(a, np.eye(6)[:, :3], counter)
+    assert counter.tallies() == (5, 0, 3, 0)
 
 
 def _count_dense_eigs(monkeypatch, module):
