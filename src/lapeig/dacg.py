@@ -174,5 +174,5 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
         guard.push(u)
 
     return solver_result(
-        "dacg", delta, counter, start, vals, vecs, resids, restarts=0, seed=seed,
+        "dacg", delta, counter, start, vals, vecs, resids, seed=seed,
         maxit_per_pair=_MAXIT_PER_PAIR, iterations_per_pair=per_pair)

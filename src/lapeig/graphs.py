@@ -5,23 +5,24 @@ sorted, strictly positive weights, no self-loops, no duplicates).  The
 Laplacian L = D - A keeps every diagonal entry explicitly, so its
 stored nonzero count is n + 2m.
 
-Both readers hand the rows of a file to numpy's C text parser
-(np.loadtxt), straight into int64, int64 and float64 columns, and check
-every row with one vectorized mask.  That read keeps only what it parses
-as the line-numbering path would and refuses the rest: a byte outside
-ASCII or a separator 0x1c-0x1f (loadtxt splits on them, bytes.split()
-does not), any loadtxt error or warning, a failed row check, a duplicate
-without symmetrize, and in Matrix Market a % after a field.  The
-line-numbering path then reads the file again: numpy counts the fields
-of each line, one split and one map per column make arrays of them, and
-an error names the first failing row and its line.  So every input gives
-the same EdgeList, or the same message and line, whichever path reads
-it; int() and float() also take a few fields loadtxt refuses (1_0).
+Each format has one reader, a loop over the lines of the file.  Past
+the node-count or size line it hands the rest of the file to numpy's C
+text parser (np.loadtxt), straight into int64, int64 and float64
+columns, and checks every row with one vectorized mask.  Where that read
+might differ from the loop it is refused, and the loop reads on: a byte
+outside ASCII or a separator 0x1c-0x1f (loadtxt splits on them,
+bytes.split() does not), any loadtxt error or warning, a failed row
+check, a duplicate without symmetrize, and in Matrix Market a % after a
+field.  The loop names the first failing row and its line; its int()
+and float() also take a few fields loadtxt refuses (1_0).
 """
 
+import contextlib
 import io
+import math
 import re
 import warnings
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -114,62 +115,12 @@ class GraphStats:
     components: int
 
 
-def _table(data, comment, repl):
-    """data with each comment replaced by repl, the 1-based number and
-    field count of each line holding a field, then the fields, one object each."""
-    data = re.sub(comment, repl, data)
-    buf = np.frombuffer(data, dtype=np.uint8)
-    space = buf == 32
-    space |= buf - 9 < 5  # bytes.split() splits on \t\n\v\f\r and space
-    starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))  # field starts
-    heads = np.concatenate(([0], np.flatnonzero(buf[:-1] == 10) + 1))  # line starts
-    counts = np.diff(np.searchsorted(starts, heads), append=starts.size)
-    rows = np.flatnonzero(counts)
-    del space, starts, heads  # before the fields take their memory
-    return data, rows + 1, counts[rows], data.split()
-
-
-def _columns(tokens, skip, counts, parsers):
-    """One array per field of the rows after the first skip tokens, up to
-    the first row whose field count is not len(parsers), and the mask of
-    those rows whose fields parse.  A column is one map over its tokens
-    until that fails; then each token is parsed alone."""
-    width = len(parsers)
-    cut = int(np.argmax(counts != width)) if np.any(counts != width) else counts.size
-    ok, columns = np.ones(cut, dtype=bool), []
-    for k, parse in enumerate(parsers):
-        fields = tokens[skip + k:skip + width * cut:width]
-        dtype = np.int64 if parse is int else np.float64
-        try:
-            columns.append(np.fromiter(map(parse, fields), dtype, cut))
-        except (ValueError, OverflowError):  # an integer past int64 does not parse
-            columns.append(np.zeros(cut, dtype))
-            for r, field in enumerate(fields):
-                try:
-                    columns[-1][r] = parse(field)
-                except (ValueError, OverflowError):
-                    ok[r] = False
-    return columns, ok
-
-
-def _check_rows(rows, checks):
-    """Raise for the first failing row in file order, naming its line.
-    checks are (mask, message of row k) pairs in the order one row is
-    checked; a mask may stop short of the last rows."""
-    failed = np.zeros(rows.size, dtype=bool)
-    for mask, _ in checks:
-        failed[:mask.size] |= mask
-    if np.any(failed):
-        k = int(np.argmax(failed))
-        message = next(say(k) for mask, say in checks if k < mask.size and mask[k])
-        raise GraphFormatError(message, int(rows[k]))
-
-
-def _merge_rows(n, i, j, w, symmetrize, rows):
+def _merge_rows(n, symmetrize, i, j, w, rows=None):
     """Canonical EdgeList of parsed rows, i and j in either order.  Without
     symmetrize a repeated unordered pair is an error naming the line of its
-    second row (a refusal when rows is None); with it, repeats collapse to
-    the maximum weight, so a directed file yields max(w_uv, w_vu)."""
+    second row (a refusal when rows is None, as for the C read); with it,
+    repeats collapse to the maximum weight, so a directed file yields
+    max(w_uv, w_vu)."""
     lo, hi, w, order, dup = _canonical(i, j, w)
     if np.any(dup) and not symmetrize:
         if rows is None:
@@ -184,39 +135,53 @@ def _merge_rows(n, i, j, w, symmetrize, rows):
     return EdgeList(n, lo, hi, w)
 
 
-def _quote(data, line):
-    """Line `line` of data, as an error message quotes it."""
-    return data.split(b"\n")[line - 1].strip().decode()
-
-
 def _parse_edge_list(data, symmetrize):
-    data, rows, counts, tokens = _table(data, rb"#[^\n]*", b"")
-    if not rows.size:
+    stream, n = io.BytesIO(data), None
+    columns = array("q"), array("q"), array("d"), array("q")  # i, j, w, line
+    for line, raw in enumerate(stream, 1):
+        text = raw.split(b"#", 1)[0].strip()
+        fields = text.split()
+        if not fields:
+            continue
+        if n is None:
+            if len(fields) != 1:
+                raise GraphFormatError("expected a single node count on the first line", line)
+            try:
+                n = _int64(fields[0])
+            except ValueError:
+                raise GraphFormatError(f"bad node count {fields[0].decode()!r}", line) from None
+            if n < 1:
+                raise GraphFormatError("node count must be positive", line)
+            with contextlib.suppress(_Refused):
+                i, j, w = _loadtxt(data, stream.tell(), "#", "ijw")
+                if not np.any((i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j)
+                              | ~np.isfinite(w) | ~(w > 0)):
+                    return _merge_rows(n, symmetrize, i, j, w)
+            continue
+        if len(fields) != 3:
+            raise GraphFormatError(f"expected 'i j w', got {text.decode()!r}", line)
+        try:
+            a, b, x = _int64(fields[0]), _int64(fields[1]), float(fields[2])
+        except ValueError:
+            raise GraphFormatError(f"could not parse edge {text.decode()!r}", line) from None
+        if not (0 <= a < n and 0 <= b < n):
+            raise GraphFormatError(f"node index out of range in {text.decode()!r}", line)
+        if a == b:
+            raise GraphFormatError(f"self-loop at node {a}", line)
+        if not math.isfinite(x):
+            raise GraphFormatError(f"non-finite weight {x}", line)
+        if not x > 0:
+            raise GraphFormatError(f"nonpositive weight {x}", line)
+        for column, value in zip(columns, (a, b, x, line)):
+            column.append(value)
+    if n is None:
         raise GraphFormatError("empty input, no node count found")
-    (n,), ok = _columns(tokens, 0, counts[:1], (int,))
-    _check_rows(rows[:1], [
-        (counts[:1] != 1, lambda k: "expected a single node count on the first line"),
-        (~ok, lambda k: f"bad node count {tokens[0].decode()!r}"),
-        (n < 1, lambda k: "node count must be positive"),
-    ])
-    n, rows, counts = int(n[0]), rows[1:], counts[1:]
-    (a, b, w), ok = _columns(tokens, 1, counts, (int, int, float))
-    del tokens  # one object per field: drop them once the columns are built
-    _check_rows(rows, [
-        (counts != 3, lambda k: f"expected 'i j w', got {_quote(data, rows[k])!r}"),
-        (~ok, lambda k: f"could not parse edge {_quote(data, rows[k])!r}"),
-        ((a < 0) | (a >= n) | (b < 0) | (b >= n),
-         lambda k: f"node index out of range in {_quote(data, rows[k])!r}"),
-        (a == b, lambda k: f"self-loop at node {a[k]}"),
-        (~np.isfinite(w), lambda k: f"non-finite weight {float(w[k])}"),
-        (~(w > 0), lambda k: f"nonpositive weight {float(w[k])}"),
-    ])
-    return _merge_rows(n, a, b, w, symmetrize, rows)
+    return _merge_rows(n, symmetrize, *map(np.asarray, columns))
 
 
-def _matrix_market_field(data):
-    """The field type named by the %%MatrixMarket line that opens data."""
-    header = data.split(b"\n", 1)[0].decode().strip()
+def _matrix_market_field(stream):
+    """The field type named by the %%MatrixMarket line that opens stream."""
+    header = stream.readline().decode().strip()
     if not header.startswith("%%MatrixMarket"):
         raise GraphFormatError("missing %%MatrixMarket header", 1)
     tokens = header.lower().split()
@@ -231,55 +196,76 @@ def _matrix_market_field(data):
 
 
 def _parse_matrix_market(data, symmetrize):
-    field = _matrix_market_field(data)
-    # after line 1, a line whose first field starts with % is a comment
-    data, rows, counts, tokens = _table(data, rb"\n[ \t\r\x0b\x0c]*%[^\n]*", b"\n")
-    skip, rows, counts = counts[0], rows[1:], counts[1:]
-    if not rows.size:
+    stream = io.BytesIO(data)
+    names = "ij" if _matrix_market_field(stream) == "pattern" else "ijw"
+    size, entries = None, 0
+    columns = array("q"), array("q"), array("d"), array("q")  # i, j, w, line
+    for line, raw in enumerate(stream, 2):
+        text = raw.strip()
+        if not text or text.startswith(b"%"):  # after line 1, % opens a comment line
+            continue
+        fields = text.split()
+        if size is None:
+            if len(fields) != 3:
+                raise GraphFormatError("expected 'rows cols nnz'", line)
+            try:
+                size, cols, nnz = map(_int64, fields)
+            except ValueError:
+                raise GraphFormatError(f"bad size line {text.decode()!r}", line) from None
+            if size != cols:
+                raise GraphFormatError(f"matrix is {size}x{cols}, not square", line)
+            if size < 1:
+                raise GraphFormatError("matrix must have at least one row", line)
+            with contextlib.suppress(_Refused):
+                # loadtxt ends a row at any %, the line loop only on a comment line
+                if any(data[data.rfind(b"\n", 0, m.start()) + 1:m.start()].strip()
+                       for m in _PERCENT.finditer(data, stream.tell())):
+                    raise _Refused
+                i, j, *w = _loadtxt(data, stream.tell(), "%", names)
+                w = w[0] if w else np.ones(i.size)
+                if i.size == nnz and not np.any((i < 1) | (i > size) | (j < 1) | (j > size)
+                                                | ~np.isfinite(w) | ((i != j) & (w == 0))):
+                    off = i != j  # the diagonal of an adjacency-style matrix carries no edge
+                    return _merge_rows(size, symmetrize, i[off] - 1, j[off] - 1, np.abs(w[off]))
+            continue
+        if len(fields) != len(names):
+            raise GraphFormatError(f"expected {len(names)} fields, got {text.decode()!r}",
+                                   line)
+        try:
+            a, b = _int64(fields[0]), _int64(fields[1])
+            x = float(fields[2]) if len(names) == 3 else 1.0
+        except ValueError:
+            raise GraphFormatError(f"could not parse entry {text.decode()!r}", line) from None
+        if not (1 <= a <= size and 1 <= b <= size):
+            raise GraphFormatError(f"index out of range in {text.decode()!r}", line)
+        if not math.isfinite(x):
+            raise GraphFormatError(f"non-finite value {x}", line)
+        if a != b and x == 0:
+            raise GraphFormatError("explicit zero off-diagonal entry", line)
+        entries += 1
+        if a != b:
+            for column, value in zip(columns, (a - 1, b - 1, abs(x), line)):
+                column.append(value)
+    if size is None:
         raise GraphFormatError("missing size line")
-    (size, cols, nnz), ok = _columns(tokens, skip, counts[:1], (int, int, int))
-    _check_rows(rows[:1], [
-        (counts[:1] != 3, lambda k: "expected 'rows cols nnz'"),
-        (~ok, lambda k: f"bad size line {_quote(data, rows[0])!r}"),
-        (size != cols, lambda k: f"matrix is {size[0]}x{cols[0]}, not square"),
-        (size < 1, lambda k: "matrix must have at least one row"),
-    ])
-    size, nnz, rows, counts = int(size[0]), int(nnz[0]), rows[1:], counts[1:]
-    parsers = (int, int) if field == "pattern" else (int, int, float)
-    (a, b, *w), ok = _columns(tokens, skip + 3, counts, parsers)
-    del tokens
-    w = w[0] if w else np.ones(a.size)
-    _check_rows(rows, [
-        (counts != len(parsers),
-         lambda k: f"expected {len(parsers)} fields, got {_quote(data, rows[k])!r}"),
-        (~ok, lambda k: f"could not parse entry {_quote(data, rows[k])!r}"),
-        ((a < 1) | (a > size) | (b < 1) | (b > size),
-         lambda k: f"index out of range in {_quote(data, rows[k])!r}"),
-        (~np.isfinite(w), lambda k: f"non-finite value {float(w[k])}"),
-        ((a != b) & (w == 0), lambda k: "explicit zero off-diagonal entry"),
-    ])
-    if rows.size != nnz:
-        raise GraphFormatError(f"header promised {nnz} entries, found {rows.size}")
-    off = a != b  # the diagonal of an adjacency-style matrix carries no edge
-    return _merge_rows(size, a[off] - 1, b[off] - 1, np.abs(w[off]), symmetrize, rows[off])
+    if entries != nnz:
+        raise GraphFormatError(f"header promised {nnz} entries, found {entries}")
+    return _merge_rows(size, symmetrize, *map(np.asarray, columns))
 
 
 class _Refused(Exception):
-    """The C-parsed read does not take this file; the line-numbering path reads it."""
+    """numpy's C parser does not read these rows as the line loop would."""
 
 
-# the first line at or after a position whose first field does not open a comment
-_EDGE_LIST_ROW = re.compile(rb"(?m)^[ \t\r\x0b\x0c]*[^\s#].*")
-_MATRIX_MARKET_ROW = re.compile(rb"(?m)^[ \t\r\x0b\x0c]*[^\s%].*")
 _PERCENT = re.compile(rb"%.*")
 
 
-def _sizes(line, width):
-    """The width fields of line as positive ints that fit int64, or _Refused."""
-    fields = line.split()
-    if len(fields) != width or not all(f.isdigit() and 0 < int(f) < 2**63 for f in fields):
-        raise _Refused
-    return [int(f) for f in fields]
+def _int64(field):
+    """int(field), failing as a parse where numpy's int64 would not hold it."""
+    value = int(field)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{value} does not fit int64")
+    return value
 
 
 def _loadtxt(data, start, comment, names):
@@ -288,7 +274,7 @@ def _loadtxt(data, start, comment, names):
     fields on the separators 0x1c-0x1f and on non-ASCII spaces, where
     bytes.split() does not: the first are refused here, the second by the
     ascii codec."""
-    if any(bytes([c]) in data for c in range(0x1c, 0x20)):
+    if any(data.find(bytes([c]), start) >= 0 for c in range(0x1c, 0x20)):
         raise _Refused
     stream = io.BytesIO(data)
     stream.seek(start)
@@ -308,40 +294,6 @@ def _loadtxt(data, start, comment, names):
     return [table[c] for c in names]
 
 
-def _read_edge_list(data, symmetrize):
-    """The EdgeList of a well-formed edge list, C-parsed; _Refused otherwise."""
-    head = _EDGE_LIST_ROW.search(data)
-    if head is None:
-        raise _Refused
-    (n,) = _sizes(head.group().split(b"#", 1)[0], 1)
-    a, b, w = _loadtxt(data, head.end(), "#", "ijw")
-    if np.any((a < 0) | (a >= n) | (b < 0) | (b >= n) | (a == b)
-              | ~np.isfinite(w) | ~(w > 0)):
-        raise _Refused
-    return _merge_rows(n, a, b, w, symmetrize, None)
-
-
-def _read_matrix_market(data, symmetrize):
-    """The EdgeList of a well-formed Matrix Market file, C-parsed; _Refused otherwise."""
-    field = _matrix_market_field(data)
-    line2 = data.find(b"\n") + 1  # 0 when there is no second line
-    size = _MATRIX_MARKET_ROW.search(data, line2) if line2 else None
-    if size is None:
-        raise _Refused
-    n, cols, nnz = _sizes(size.group(), 3)
-    # loadtxt ends a row at any %, the line-numbering path only on a comment line
-    if n != cols or any(data[data.rfind(b"\n", 0, m.start()) + 1:m.start()].strip()
-                        for m in _PERCENT.finditer(data, size.end())):
-        raise _Refused
-    a, b, *w = _loadtxt(data, size.end(), "%", "ij" if field == "pattern" else "ijw")
-    w = w[0] if w else np.ones(a.size)
-    if a.size != nnz or np.any((a < 1) | (a > n) | (b < 1) | (b > n) | ~np.isfinite(w)
-                               | ((a != b) & (w == 0))):
-        raise _Refused
-    off = a != b
-    return _merge_rows(n, a[off] - 1, b[off] - 1, np.abs(w[off]), symmetrize, None)
-
-
 def load_edge_list(source, format="edgelist", symmetrize=False):
     """Read a graph from a path, bytes or an open text stream.
 
@@ -351,22 +303,21 @@ def load_edge_list(source, format="edgelist", symmetrize=False):
     """
     if format not in ("edgelist", "mtx"):
         raise ValueError(f"unknown format {format!r}")
-    # text mode reads any line end as \n, as the stream of an open file does
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes()
-        if not data.isascii() or b"\r" in data:  # else decoding changes nothing
-            data = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read().encode()
+        if b"\r" in data:  # \r\n and \r end a line, as in a file opened in text mode
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     elif isinstance(source, bytes):
-        source.decode("utf-8")  # reject what is not UTF-8, as a file read would
         data = source
     else:
         data = source.read().encode()
-    read, parse = ((_read_edge_list, _parse_edge_list) if format == "edgelist"
-                   else (_read_matrix_market, _parse_matrix_market))
     try:
-        return read(data, symmetrize)
-    except _Refused:
-        return parse(data, symmetrize)
+        data.decode("utf-8")  # one pass over the whole file, so the offset names the line
+    except UnicodeDecodeError as err:
+        raise GraphFormatError(f"byte {data[err.start]:#04x} is not UTF-8 ({err.reason})",
+                               data.count(b"\n", 0, err.start) + 1) from None
+    parse = _parse_edge_list if format == "edgelist" else _parse_matrix_market
+    return parse(data, symmetrize)
 
 
 def build_laplacian(g):

@@ -201,7 +201,6 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
     v1, _ = mgs_orthonormalize(v0, null_basis.columns)
     state = LanczosState(v1, ncv_eff)
 
-    restarts = 0
     for _cycle in range(_MAX_RESTARTS + 1):
         while state.m < ncv_eff and not state.breakdown:
             inverse_lanczos_step(state, a, f, delta_pcg, null_basis, counter=counter)
@@ -224,8 +223,8 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
                 f"(subspace {ncv_eff}, delta {delta:.1e})"
             )
         _thick_restart(state, ritz, neig, null_basis)
-        restarts += 1
+        counter.increment(1, "restarts")
 
     return solver_result(
-        "irlm", delta, counter, start, *found, restarts=restarts, seed=seed,
+        "irlm", delta, counter, start, *found, seed=seed,
         ncv=ncv_eff, delta_pcg=delta_pcg, maxit_inner=_MAXIT_INNER)

@@ -128,7 +128,6 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
     rng = np.random.default_rng(seed)
 
     locked_vals, locked_vecs, locked_res = [], [], []
-    restarts = 0
 
     workspace = JdWorkspace(guard, m_min, m_max)
     cand = np.asarray(v0, dtype=np.float64) if v0 is not None \
@@ -205,7 +204,7 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
             )
         if workspace.m == m_max:
             workspace.restart()
-            restarts += 1
+            counter.increment(1, "restarts")
         # the correction projects out [guard, u]: u is the column after
         # the guard, so the guard's prefix grows by one for the solve
         guard.k += 1
@@ -215,5 +214,5 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
 
     return solver_result(
         "jd", delta, counter, start, locked_vals, locked_vecs, locked_res,
-        restarts=restarts, seed=seed, delta_pcg=delta_pcg,
+        seed=seed, delta_pcg=delta_pcg,
         itmax_inner=itmax_inner, m_min=m_min, m_max=m_max)

@@ -130,15 +130,15 @@ def fresh_accept(a, u, delta, counter):
     return relres <= delta, theta, relres, w
 
 
-def spent(counter, marks=(0, 0, 0, 0)):
+def spent(counter, marks=(0, 0, 0, 0, 0)):
     """A report's cost fields and config keys: what counter spent since marks, a tallies()."""
-    outer, inner, verify, solves = (t - m for t, m in zip(counter.tallies(), marks))
+    outer, inner, verify, solves, restarts = (t - m for t, m in zip(counter.tallies(), marks))
     return (dict(mvp=outer + inner + verify, outer_its=solves, inner_its_total=inner),
-            dict(mvp_outer=outer, mvp_verify=verify))
+            dict(mvp_outer=outer, mvp_verify=verify, restarts=restarts))
 
 
-def solver_result(solver, delta, counter, start, vals, vecs, resids, *,
-                  restarts, seed, **settings):
+def solver_result(solver, delta, counter, start, vals, vecs, resids, *, seed,
+                  **settings):
     """Sort the accepted pairs into an EigenPairSet and report the run.
 
     vals, vecs and resids list the accepted pairs in any order, one
@@ -161,7 +161,7 @@ def solver_result(solver, delta, counter, start, vals, vecs, resids, *,
         converged=True,
         per_pair_residuals=pairs.residuals.tolist(),
         eigenvalues=pairs.values.tolist(),
-        config=dict(**ledger, restarts=restarts, seed=seed, **settings),
+        config=dict(**ledger, seed=seed, **settings),
     )
     return pairs, report
 

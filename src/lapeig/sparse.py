@@ -17,14 +17,15 @@ class MvpCounter:
     outer counts products outside inner iterations (and the count given
     to the constructor), inner one per PCG or DACG iteration, verify the
     fresh acceptance products; solves counts inner solves, one per
-    pcg_solve call.  count is the sum of the three product tallies.
+    pcg_solve call, and restarts the solvers' subspace restarts.  count
+    is the sum of the three product tallies.
     """
 
-    __slots__ = ("outer", "inner", "verify", "solves")
+    __slots__ = ("outer", "inner", "verify", "solves", "restarts")
 
     def __init__(self, count=0):
         self.outer = int(count)
-        self.inner = self.verify = self.solves = 0
+        self.inner = self.verify = self.solves = self.restarts = 0
 
     @property
     def count(self):
@@ -34,12 +35,12 @@ class MvpCounter:
         setattr(self, kind, getattr(self, kind) + k)
 
     def tallies(self):
-        """(outer, inner, verify, solves), a snapshot to subtract later."""
-        return self.outer, self.inner, self.verify, self.solves
+        """(outer, inner, verify, solves, restarts), a snapshot to subtract later."""
+        return self.outer, self.inner, self.verify, self.solves, self.restarts
 
     def __repr__(self):
         return (f"MvpCounter(outer={self.outer}, inner={self.inner}, "
-                f"verify={self.verify}, solves={self.solves})")
+                f"verify={self.verify}, solves={self.solves}, restarts={self.restarts})")
 
 
 class CsrMatrix:

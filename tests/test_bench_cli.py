@@ -26,6 +26,7 @@ from lapeig.graphs import build_laplacian
 from lapeig.ic0 import ic0_factorize
 from lapeig.irlm import ncv_for
 from tests.conftest import dense_positive_pairs
+from tests.test_solver_frame import LEDGER_KEYS
 
 P3_FILE = "3\n0 1 1.0\n1 2 1.0\n"
 
@@ -134,6 +135,13 @@ class TestRunGraph:
         assert "outer iterations" in report.config["error"]
         assert (report.mvp, report.outer_its, report.inner_its_total) == (8, 3, 5)
         assert (report.config["mvp_outer"], report.config["mvp_verify"]) == (3, 0)
+        assert LEDGER_KEYS <= report.config.keys()
+        assert report.config["restarts"] == 0
+        # a basis of at most four columns restarts once before a cap of four steps
+        monkeypatch.setattr(lapeig.jd, "_MAX_OUTER_PER_PAIR", 4)
+        (report,) = run_graph(edges, RunConfig(solver="jd", neig=3, m_min=2, m_max=4))
+        assert not report.converged
+        assert report.config["restarts"] == 1
 
     def test_unknown_solver_is_rejected_before_factoring(self, monkeypatch):
         calls = []
@@ -323,6 +331,12 @@ class TestCliMain:
         code = main(["--input", str(bad)])
         assert code == 3
         assert "line 2" in capsys.readouterr().err
+
+    def test_non_utf8_file_exits_3_naming_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"3\n0 1 1.0\n1 2 \xff\n")
+        assert main(["--input", str(bad)]) == 3
+        assert "line 3: byte 0xff is not UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fmt,text,line", [
         ("edgelist", "3\n0 1 inf\n1 2 1.0\n", 2),

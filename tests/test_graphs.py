@@ -108,6 +108,14 @@ class TestEdgeListParser:
         g = load_edge_list(blob, symmetrize=True)
         assert g.pairs() == [(0, 1, 4.0)]  # max weight wins
 
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        blob = b"3\n0 1 1.0\n1 2 \xff\n"
+        path = tmp_path / "bad.txt"
+        path.write_bytes(blob.replace(b"\n", b"\r"))  # a path ends a line at \r too
+        for source in (blob, path):
+            with pytest.raises(GraphFormatError, match="byte 0xff is not UTF-8") as err:
+                load_edge_list(source)
+            assert err.value.line == 3
 
     def test_integers_past_int64_do_not_parse(self):
         # int() reads them, but no node index or count that large fits the arrays
@@ -138,28 +146,47 @@ class TestHeaderOnlyInputs:
         assert g.i.dtype == np.int64 and g.w.dtype == np.float64
 
 
+def _traced_read(path):
+    """load_edge_list(path) and the tracemalloc peak of the read."""
+    tracemalloc.start()
+    try:
+        g = load_edge_list(path)
+        return g, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestReaderScaling:
-    def test_peak_memory_stays_below_per_line_tuples(self, tmp_path):
-        # 200,000 edges in a 6 MB file.  Under tracemalloc the line-by-line
-        # reader, with a tuple of Python numbers per edge, peaked at 60.6 MB
-        # and the whole-array reader, with one bytes object per field, at
-        # 46.4 MB; read through np.loadtxt it peaks at 21.7 MB (the bound
-        # is 1.2 times that).
+    # 200,000 edges in a 6 MB file.  Under tracemalloc a loop keeping a
+    # tuple of Python numbers per edge peaked at 60.6 MB and a whole-array
+    # reader with one bytes object per field at 46.4 MB.  Read through
+    # np.loadtxt the file peaks at 21.7 MB (the bound is 1.2 times that);
+    # a file loadtxt refuses is read by the line loop into array columns.
+    @pytest.fixture(scope="class")
+    def ring(self):
         n = 50_000
         i = np.tile(np.arange(n), 4)
         j = (i + np.repeat(np.arange(1, 5), n)) % n
         w = np.random.default_rng(0).random(i.size) + 0.5
+        return f"{n}\n" + "".join(
+            f"{a} {b} {c!r}\n" for a, b, c in zip(i.tolist(), j.tolist(), w.tolist()))
+
+    def test_peak_memory_stays_below_per_line_tuples(self, tmp_path, ring):
         path = tmp_path / "ring4.txt"
-        path.write_text(f"{n}\n" + "".join(
-            f"{a} {b} {c!r}\n" for a, b, c in zip(i.tolist(), j.tolist(), w.tolist())))
-        tracemalloc.start()
-        try:
-            g = load_edge_list(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        path.write_text(ring)
+        g, peak = _traced_read(path)
         assert g.m == 200_000
         assert peak < 26_000_000
+
+    def test_refused_file_reads_the_same_arrays(self, tmp_path, ring):
+        clean, refused = tmp_path / "ring4.txt", tmp_path / "ring4-noted.txt"
+        clean.write_text(ring)
+        refused.write_text(ring + "# na\u00efve\n", encoding="utf-8")  # loadtxt reads ascii
+        want = load_edge_list(clean)
+        g, peak = _traced_read(refused)
+        for name in ("i", "j", "w"):
+            assert getattr(g, name).tobytes() == getattr(want, name).tobytes()
+        assert peak < 46_400_000
 
 
 class TestMatrixMarketParser:

@@ -1,12 +1,15 @@
-"""The whole-array readers against the line-by-line readers they replaced.
+"""The graph readers against the line-by-line readers of the grammar.
 
-reference_parse_edge_list and reference_parse_matrix_market are the
-loop parsers, kept here as oracles the way reference_ic0 is kept for
-IC(0).  A derandomized property test writes valid files with comments,
-blank lines, tabs, CRLF line ends, every Matrix Market field and
-symmetry, diagonal entries and repeated pairs, then applies one or two
-one-line mutations.  Both readers must return bitwise-equal arrays, or
-raise GraphFormatError with the same message and line.
+reference_parse_edge_list and reference_parse_matrix_market are loop
+parsers on text, kept here as oracles the way reference_ic0 is kept for
+IC(0).  Each reader in lapeig.graphs is a loop on bytes that hands the
+rows to numpy's C parser when it can.  A derandomized property test
+writes valid files with comments, blank lines, tabs, CRLF line ends,
+every Matrix Market field and symmetry, diagonal entries and repeated
+pairs, then applies one or two one-line mutations.  Both readers must
+return bitwise-equal arrays, or raise GraphFormatError with the same
+message and line.  TestCParsedRead checks which files the C parser reads
+and that the files it refuses read as the loop does.
 """
 
 import contextlib
@@ -350,13 +353,15 @@ class TestReadersMatchTheLoops:
 
 @contextlib.contextmanager
 def no_line_path():
-    """Fail the test if a line-numbering reader is reached."""
-    def refuse(data, symmetrize):
-        raise AssertionError("read by the line-numbering path")
+    """Fail the test if the line loop, not numpy's C parser, reads the rows."""
+    merge = lapeig.graphs._merge_rows
+
+    def spy(n, symmetrize, i, j, w, rows=None):
+        assert rows is None, "rows read by the line loop"
+        return merge(n, symmetrize, i, j, w, rows)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lapeig.graphs, "_parse_edge_list", refuse)
-        patch.setattr(lapeig.graphs, "_parse_matrix_market", refuse)
+        patch.setattr(lapeig.graphs, "_merge_rows", spy)
         yield
 
 
@@ -377,10 +382,13 @@ WELL_FORMED = [
      [(0, 1, 4.0), (0, 2, 9.0)]),
     ("mtx", MM_HEAD.format("pattern") + "\n3 3 2\n2\t1\n% last\n3 2\n",
      [(0, 1, 1.0), (1, 2, 1.0)]),
+    # loadtxt reads only the rows past the count or size line as ascii
+    ("edgelist", "# na\u00efve\n3\n0 1 1.5\n", [(0, 1, 1.5)]),
+    ("mtx", MM_HEAD.format("real") + "% caf\u00e9\n3 3 1\n2 1 1.5\n", [(0, 1, 1.5)]),
 ]
 
-# inputs on which np.loadtxt and the line-numbering path disagree: each
-# gives what the line-numbering path gives, arrays or message and line
+# inputs on which np.loadtxt and the line loop disagree: each gives what
+# the line loop gives, arrays or message and line
 DISAGREEING = [
     ("edgelist", "3\n0 1 1.0\n1.0 2 1.0\n", ("could not parse edge '1.0 2 1.0'", 3)),
     ("mtx", MM_HEAD.format("real") + "3 3 1\n2.0 1 1.0\n",

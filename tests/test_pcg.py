@@ -178,7 +178,7 @@ class TestPcgSolve:
         counter = MvpCounter()
         out = pcg_solve(a, None, b, 1e-12, 10 * n, counter=counter, shift=theta)
         assert out.converged
-        assert counter.tallies() == (0, out.iterations, 0, 1)
+        assert counter.tallies() == (0, out.iterations, 0, 1, 0)
         want = np.linalg.solve(dense - theta * np.eye(n), b)
         assert np.linalg.norm(out.solution - want) <= 1e-8 * np.linalg.norm(want)
 

@@ -64,6 +64,7 @@ def test_report_accounting_identity(name, charged):
         counter.increment(200, "inner")
         counter.increment(30, "verify")
         counter.solves = 4
+        counter.restarts = 2
     before = None if counter is None else counter.tallies()
     pairs, report = solve(a, 5, delta=1e-6, seed=0, counter=counter)
     assert report.solver == name
@@ -77,7 +78,7 @@ def test_report_accounting_identity(name, charged):
         assert counter.count == sum(before[:3]) + report.mvp
         assert [now - then for now, then in zip(counter.tallies(), before)] == [
             report.config["mvp_outer"], report.inner_its_total,
-            report.config["mvp_verify"], report.outer_its]
+            report.config["mvp_verify"], report.outer_its, report.config["restarts"]]
     # at least one acceptance product per pair
     assert report.config["mvp_verify"] >= 5
     assert report.config["seed"] == 0
@@ -147,7 +148,7 @@ class TestFreshAccept:
         counter = MvpCounter()
         ok, theta, relres, w = fresh_accept(a, vecs[:, 1], 1e-10, counter)
         assert ok
-        assert counter.tallies() == (0, 0, 1, 0)
+        assert counter.tallies() == (0, 0, 1, 0, 0)
         assert theta == pytest.approx(vals[1], rel=1e-14)
         assert relres < 1e-14
         assert np.allclose(w, a.toarray() @ vecs[:, 1])
@@ -174,7 +175,7 @@ def test_rayleigh_residuals_charge_one_verify_product_per_column():
     a = build_laplacian(random_connected_graph(6, extra_edges=4, seed=2))
     counter = MvpCounter(5)
     rayleigh_residuals(a, np.eye(6)[:, :3], counter)
-    assert counter.tallies() == (5, 0, 3, 0)
+    assert counter.tallies() == (5, 0, 3, 0, 0)
 
 
 def _count_dense_eigs(monkeypatch, module):

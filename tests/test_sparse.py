@@ -124,5 +124,5 @@ class TestSpmv:
         assert counter.count == 7
         spmv(a, np.ones(3), counter, "inner")
         spmv(a, np.ones(3), counter, "verify")
-        assert counter.tallies() == (7, 1, 1, 0)
+        assert counter.tallies() == (7, 1, 1, 0, 0)
         assert counter.count == 9
