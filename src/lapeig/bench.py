@@ -94,6 +94,8 @@ def run_graph(edges, config):
     whose pairs fail independent residual recomputation aborts the run.
     """
     names = config.selection()
+    if config.neig < 1:
+        raise ValueError("neig must be at least 1")
     n, m = edges.n_nodes, edges.m
     if config.allow_disconnected:
         # search only the nodes on an edge: O(m), same component kept

@@ -8,6 +8,7 @@ with the operator (plus one per pair at start and acceptance).
 
 import numpy as np
 
+from .kernels import GramSchmidtBreakdown, mgs_orthonormalize
 from .results import SolverError, fresh_accept, solver_result, solver_setup
 from .sparse import spmv
 
@@ -73,7 +74,8 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
     Each accepted iterate is normalized, verified with a fresh product
     against the per-pair test ||A x - q x|| / q <= delta, and joined to
     the deflation set for subsequent pairs.  Raises SolverError when a
-    pair exceeds _MAXIT_PER_PAIR iterations.
+    pair's start vector lies in the deflated span or the pair exceeds
+    _MAXIT_PER_PAIR iterations.
     """
     counter, guard, f, start = solver_setup(a, neig, counter, null_basis, f, neig)
     rng = np.random.default_rng(seed)
@@ -82,16 +84,12 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
     vals, vecs, resids, per_pair = [], [], [], []
 
     for pair_idx in range(neig):
-        if pair_idx == 0 and x0 is not None:
-            x = np.asarray(x0, dtype=np.float64).copy()
-        else:
-            x = rng.standard_normal(a.n)
-        x = guard.project_out(x)
-        nrm = float(np.linalg.norm(x))
-        if nrm == 0.0:
+        start_vec = x0 if pair_idx == 0 and x0 is not None else rng.standard_normal(a.n)
+        try:
+            x, _ = mgs_orthonormalize(start_vec, guard)
+        except GramSchmidtBreakdown as exc:
             raise SolverError(f"pair {pair_idx}: start vector lies in the "
-                              "deflated subspace")
-        x /= nrm
+                              "deflated subspace") from exc
         ax = spmv(a, x, counter)
         q = float(x @ ax)
         grad = 2.0 * (ax - q * x)
@@ -106,8 +104,7 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
             res = float(np.linalg.norm(ax - q * x))
             if q > 0 and res / q <= delta:
                 # candidate passes on cached data; confirm with a fresh product
-                xc = guard.project_out(x)
-                xc /= np.linalg.norm(xc)
+                xc, _ = mgs_orthonormalize(x, guard)
                 ok, theta, relres, w = fresh_accept(a, xc, delta, counter)
                 if ok:
                     accepted = (theta, xc, relres)

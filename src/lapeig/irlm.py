@@ -165,7 +165,7 @@ def _insert_random(state, null_basis, rng):
     for _ in range(3):
         cand = null_basis.project_out(rng.standard_normal(state.basis.n))
         try:
-            v, _ = mgs_orthonormalize(cand, state.basis.columns)
+            v, _ = mgs_orthonormalize(cand, state.basis)
         except GramSchmidtBreakdown:
             continue
         state.basis.push(v)
@@ -198,7 +198,10 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
 
     if v0 is None:
         v0 = rng.standard_normal(a.n)
-    v1, _ = mgs_orthonormalize(v0, null_basis.columns)
+    try:
+        v1, _ = mgs_orthonormalize(v0, null_basis)
+    except GramSchmidtBreakdown as exc:
+        raise SolverError("pair 0: start vector lies in the deflated subspace") from exc
     state = LanczosState(v1, ncv_eff)
 
     for _cycle in range(_MAX_RESTARTS + 1):

@@ -10,9 +10,9 @@ One DeflationBasis buffer holds the guard (kernel, then locked
 vectors) and, right after it, the search basis V in Ritz order: each
 Rayleigh-Ritz step rotates V and W = A V so that H = V'AV is diagonal
 and the Ritz vector u is V's first column.  The expansion block
-[guard, V] and the correction projector [guard, u] are then prefixes
-of the buffer, a restart keeps V's first m_min columns, and a lock
-writes the verified vector over u and grows the guard by one.
+[guard, V] and the correction projector [guard, u] are then
+guard.prefix views, a restart keeps V's first m_min columns, and a
+lock writes the verified vector over u and grows the guard by one.
 """
 
 import numpy as np
@@ -55,12 +55,12 @@ class JdWorkspace:
 
     @property
     def block(self):
-        """[guard, V], a prefix of the guard's buffer."""
-        return self.guard.buffer[:, : self.guard.k + self.m]
+        """[guard, V] as a DeflationBasis view of the guard's buffer."""
+        return self.guard.prefix(self.guard.k + self.m)
 
     @property
     def v(self):
-        return self.block[:, self.guard.k:]
+        return self.guard.buffer[:, self.guard.k : self.guard.k + self.m]
 
     @property
     def w(self):
@@ -174,7 +174,7 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
         else:
             since_best += 1
         if res < delta * theta:
-            u_fix, _ = mgs_orthonormalize(u, guard.columns)
+            u_fix, _ = mgs_orthonormalize(u, guard)
             ok, theta_fix, relres, _ = fresh_accept(a, u_fix, delta, counter)
             if ok:
                 locked_vals.append(theta_fix)
@@ -205,12 +205,9 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
         if workspace.m == m_max:
             workspace.restart()
             counter.increment(1, "restarts")
-        # the correction projects out [guard, u]: u is the column after
-        # the guard, so the guard's prefix grows by one for the solve
-        guard.k += 1
-        cand = jd_correction_solve(a, theta, guard, r, f, delta_pcg,
-                                   itmax_inner, counter)
-        guard.k -= 1
+        # the correction projects out [guard, u]: u is the column after the guard
+        cand = jd_correction_solve(a, theta, guard.prefix(guard.k + 1), r, f,
+                                   delta_pcg, itmax_inner, counter)
 
     return solver_result(
         "jd", delta, counter, start, locked_vals, locked_vecs, locked_res,

@@ -1,10 +1,10 @@
 """Small dense kernels shared by the sparse eigensolvers.
 
-Contains block Gram-Schmidt with conditional reorthogonalization, a
-sign-fixed thin-QR basis, and the dense symmetric eigensolver for
-projected matrices (LAPACK through numpy.linalg.eigh).  Its dimension
-is capped at DENSE_EIG_MAX_DIM, which bounds IRLM's basis and JD's
-search space.
+Contains Gram-Schmidt against a DeflationBasis with conditional
+reorthogonalization, a sign-fixed thin-QR basis, and the dense
+symmetric eigensolver for projected matrices (LAPACK through
+numpy.linalg.eigh).  Its dimension is capped at DENSE_EIG_MAX_DIM,
+which bounds IRLM's basis and JD's search space.
 """
 
 import numpy as np
@@ -19,25 +19,21 @@ class GramSchmidtBreakdown(RuntimeError):
 
 
 def mgs_orthonormalize(v, basis):
-    """Orthonormalize v against the orthonormal columns of the 2-D basis.
+    """Orthonormalize v against a DeflationBasis.
 
-    One block Gram-Schmidt sweep v - B (B' v) over the whole basis,
-    repeated once more when the first sweep shrank the vector by more
-    than the classical 0.7 factor (two sweeps are enough).  Returns
-    (unit vector, norm before normalization).  Raises
-    GramSchmidtBreakdown when the remainder falls below 1e-14 of the
-    input norm.
+    One block sweep basis.project_out(v), repeated once more when the
+    first sweep shrank the vector by more than the classical 0.7 factor
+    (two sweeps are enough).  Returns (unit vector, norm before
+    normalization).  Raises GramSchmidtBreakdown when the remainder
+    falls below 1e-14 of the input norm.
     """
-    v = np.array(v, dtype=np.float64)
-    basis = np.asarray(basis, dtype=np.float64)
-    if basis.size and basis.shape[0] != v.shape[0]:
-        raise ValueError("basis rows must match vector length")
+    v = np.asarray(v, dtype=np.float64)
     norm_in = np.linalg.norm(v)
     if norm_in == 0.0:
         raise GramSchmidtBreakdown("zero vector cannot be orthonormalized")
     before = norm_in
-    for _ in range(2 if basis.size else 0):
-        v -= basis @ (basis.T @ v)
+    for _ in range(2 if basis.k else 0):
+        v = basis.project_out(v)
         after = np.linalg.norm(v)
         if after >= _REORTH_FACTOR * before:
             break

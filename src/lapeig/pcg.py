@@ -3,12 +3,13 @@
 Graph Laplacians are singular, so linear solves run inside the
 orthogonal complement of the kernel (and of any locked eigenvectors).
 A DeflationBasis holds that subspace in one preallocated column-major
-buffer that a solver grows in place; every projection is one block
-step v - Q (Q' v) on the columns in use.  PCG runs on a CsrMatrix A,
-optionally shifted to A - theta I; it projects the right-hand side once
-and then, per iteration, the shifted product and the preconditioned
-residual, so residual and search direction stay in the complement,
-where the matrix is effectively definite.
+buffer that a solver grows in place; its project_out, one block step
+v - Q (Q' v) on the columns in use, is the package's only projection.
+PCG runs on a CsrMatrix A, optionally shifted to A - theta I; it
+projects the right-hand side once and then, per iteration, the shifted
+product and the preconditioned residual, so residual and search
+direction stay in the complement, where the matrix is effectively
+definite.
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,8 @@ class DeflationBasis:
 
     buffer is a column-major n x capacity array whose first k columns
     are in use; columns is a read-only view of them.  The constructor
-    checks the given columns; push adds one in place without a recheck.
+    checks the given columns; push adds one in place and prefix views
+    the leading ones, neither with a recheck.
     """
 
     __slots__ = ("buffer", "k")
@@ -57,6 +59,13 @@ class DeflationBasis:
         """Add the unit vector u, orthogonal to the span, as column k."""
         self.buffer[:, self.k] = u
         self.k += 1
+
+    def prefix(self, k):
+        """The first k columns as an unchecked basis on this buffer, to project with."""
+        view = object.__new__(DeflationBasis)
+        view.buffer = self.buffer[:, :k]
+        view.k = k
+        return view
 
     def project_out(self, v):
         """v minus its orthogonal projection onto the basis span."""

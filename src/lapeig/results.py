@@ -167,18 +167,13 @@ def solver_result(solver, delta, counter, start, vals, vecs, resids, *, seed,
 
 
 def rayleigh_residuals(a, vectors, counter=None):
-    """Rayleigh quotients and relative residuals, one fresh verify product per column."""
+    """fresh_accept's theta and relres (inf where theta <= 0) per normalized column."""
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim == 1:
         vectors = vectors.reshape(-1, 1)
     thetas = np.zeros(vectors.shape[1])
     resids = np.zeros(vectors.shape[1])
-    for k in range(vectors.shape[1]):
-        u = vectors[:, k]
-        w = spmv(a, u, counter, "verify")
-        nrm2 = float(u @ u)
-        theta = float(u @ w) / nrm2
-        denom = abs(theta) if theta != 0 else 1.0
-        resids[k] = float(np.linalg.norm(w - theta * u)) / (np.sqrt(nrm2) * denom)
-        thetas[k] = theta
+    for k, u in enumerate(vectors.T):
+        u = u / np.linalg.norm(u)
+        _, thetas[k], resids[k], _ = fresh_accept(a, u, np.inf, counter)
     return thetas, resids

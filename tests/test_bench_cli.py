@@ -156,6 +156,19 @@ class TestRunGraph:
             run_graph(edges, RunConfig(solver="lobpcg"))
         assert calls == []
 
+    def test_nonpositive_neig_is_rejected_before_the_laplacian(self, monkeypatch):
+        calls = []
+
+        def counted(edges):
+            calls.append(edges.n_nodes)
+            return build_laplacian(edges)
+
+        monkeypatch.setattr(lapeig.bench, "build_laplacian", counted)
+        for neig in (0, -2):
+            with pytest.raises(ValueError, match="^neig must be at least 1$"):
+                run_graph(path_graph(3), RunConfig(neig=neig))
+        assert calls == []
+
     def test_shared_factorization_is_echoed(self):
         edges = random_connected_graph(30, extra_edges=25, seed=8)
         reports = run_graph(edges, RunConfig(neig=2))
@@ -355,6 +368,11 @@ class TestCliMain:
         big.write_text("3\n0 1 1e308\n0 2 1e308\n1 2 1.0\n")
         assert main(["--input", str(big), "--solver", "jd"]) == 3
         assert "degree of node 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("neig", ["0", "-2"])
+    def test_nonpositive_neig_exits_3(self, tmp_path, capsys, neig):
+        assert main(["--input", str(_write_p3(tmp_path)), "--neig", neig]) == 3
+        assert "neig must be at least 1" in capsys.readouterr().err
 
     def test_disconnected_exits_3_without_optin(self, tmp_path, capsys):
         g = tmp_path / "two.txt"

@@ -114,6 +114,14 @@ class TestDacgSmallest:
         assert values[0] == pytest.approx(1.0, abs=1e-12)
         assert report.config["iterations_per_pair"][0] == 0
 
+    def test_start_vector_in_the_deflated_span_fails_before_any_product(self):
+        a = build_laplacian(random_connected_graph(40, 60, seed=3))
+        counter = MvpCounter()
+        with pytest.raises(SolverError, match="^pair 0: start vector lies in the "
+                                               "deflated subspace$"):
+            dacg_smallest(a, 2, x0=np.ones(40), counter=counter)
+        assert counter.count == 0
+
     def test_iteration_cap_reports_partial_progress(self, monkeypatch):
         edges = random_connected_graph(60, extra_edges=80, seed=13)
         a = build_laplacian(edges)

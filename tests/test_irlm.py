@@ -291,6 +291,14 @@ class TestIrlmSmallest:
         assert values[0] == pytest.approx(1.0, abs=1e-6)
         assert report.converged
 
+    def test_start_vector_in_the_deflated_span_fails_before_any_product(self):
+        a = build_laplacian(random_connected_graph(40, 60, seed=3))
+        counter = MvpCounter()
+        with pytest.raises(SolverError, match="^pair 0: start vector lies in the "
+                                               "deflated subspace$"):
+            irlm_smallest(a, 2, v0=np.ones(40), counter=counter)
+        assert counter.count == 0
+
     def test_rejects_more_pairs_than_exist(self):
         a, _, _ = _setup(path_graph(3))
         with pytest.raises(ValueError, match="only 2 exist"):

@@ -64,7 +64,7 @@ class TestJdWorkspace:
         assert np.max(np.abs(ws.h - ref)) < 1e-12
         assert np.array_equal(ws.h, ws.h.T)
         # V sits right after the guard in one buffer
-        assert np.array_equal(ws.block, np.hstack([ws.guard.columns, ws.v]))
+        assert np.array_equal(ws.block.columns, np.hstack([ws.guard.columns, ws.v]))
 
     def test_image_basis_tracks_products(self):
         edges = random_connected_graph(20, extra_edges=15, seed=6)
@@ -147,11 +147,12 @@ class TestJdRestart:
         ws.rotate(dense_sym_eig(ws.h))
         ws.restart()
         dense = a.toarray()
-        gram = ws.block.T @ ws.block
+        block = ws.block.columns
+        gram = block.T @ block
         assert np.max(np.abs(gram - np.eye(4))) < 1e-12
         _check_consistent(ws, dense)
         # growing again after the restart keeps both relations
-        v, _ = np.linalg.qr(np.hstack([ws.block, rng.standard_normal((a.n, 1))]))
+        v, _ = np.linalg.qr(np.hstack([block, rng.standard_normal((a.n, 1))]))
         ws.append(v[:, -1], spmv(a, v[:, -1]))
         _check_consistent(ws, dense)
 
@@ -263,7 +264,7 @@ class TestJdSmallest:
             theta, u, r = ws.rotate(dense_sym_eig(ws.h))
             thetas.append(theta)
             cand = rng.standard_normal(a.n)
-            cand -= ws.block @ (ws.block.T @ cand)
+            cand -= ws.block.columns @ (ws.block.columns.T @ cand)
             cand /= np.linalg.norm(cand)
             ws.append(cand, spmv(a, cand))
         theta, _, _ = ws.rotate(dense_sym_eig(ws.h))

@@ -5,13 +5,14 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from lapeig.kernels import GramSchmidtBreakdown, dense_sym_eig, mgs_orthonormalize
+from lapeig.pcg import DeflationBasis
 
 
 class TestMgs:
     def test_unit_result_orthogonal_to_basis(self, rng):
         basis = np.linalg.qr(rng.standard_normal((20, 6)))[0]
         v = rng.standard_normal(20)
-        u, nrm = mgs_orthonormalize(v, basis)
+        u, nrm = mgs_orthonormalize(v, DeflationBasis(basis))
         assert np.abs(basis.T @ u).max() <= 1e-12
         assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-13)
         assert nrm > 0
@@ -20,14 +21,14 @@ class TestMgs:
         basis = np.linalg.qr(rng.standard_normal((15, 4)))[0]
         v = rng.standard_normal(15)
         residual = v - basis @ (basis.T @ v)
-        _, nrm = mgs_orthonormalize(v, basis)
+        _, nrm = mgs_orthonormalize(v, DeflationBasis(basis))
         assert nrm == pytest.approx(np.linalg.norm(residual), rel=1e-10)
 
     def test_vector_in_span_breaks_down(self, rng):
         basis = np.linalg.qr(rng.standard_normal((10, 3)))[0]
         inside = basis @ np.array([0.3, -2.0, 1.1])
         with pytest.raises(GramSchmidtBreakdown):
-            mgs_orthonormalize(inside, basis)
+            mgs_orthonormalize(inside, DeflationBasis(basis))
 
     def test_nearly_dependent_vector_still_orthogonalized(self, rng):
         # second sweep must clean up a vector at 1e-9 from the span
@@ -35,13 +36,41 @@ class TestMgs:
         stray = rng.standard_normal(30)
         stray -= basis @ (basis.T @ stray)
         v = basis[:, 0] + 1e-9 * stray / np.linalg.norm(stray)
-        u, _ = mgs_orthonormalize(v, basis)
+        u, _ = mgs_orthonormalize(v, DeflationBasis(basis))
         assert np.abs(basis.T @ u).max() <= 1e-12
 
     def test_empty_basis_normalizes(self):
-        u, nrm = mgs_orthonormalize(np.array([3.0, 4.0]), np.zeros((2, 0)))
+        empty = DeflationBasis(np.zeros((2, 0)))
+        u, nrm = mgs_orthonormalize(np.array([3.0, 4.0]), empty)
         assert np.allclose(u, [0.6, 0.8])
         assert nrm == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 11, 41])
+    def test_bitwise_the_raw_array_sweep(self, rng, k):
+        # the sweep as mgs_orthonormalize wrote it out before project_out took over
+        def oracle(v, q):
+            v = np.array(v, dtype=np.float64)
+            before = np.linalg.norm(v)
+            for sweeps in (1, 2):
+                v -= q @ (q.T @ v)
+                after = np.linalg.norm(v)
+                if after >= 0.7 * before:
+                    break
+                before = after
+            norm_out = np.linalg.norm(v)
+            return v / norm_out, norm_out, sweeps
+
+        basis = DeflationBasis(np.linalg.qr(rng.standard_normal((3000, k)))[0], k + 3)
+        q = basis.columns
+        stray = rng.standard_normal(3000)
+        # a random vector takes one sweep, one 1e-3 off the span takes two
+        for v, sweeps in ((rng.standard_normal(3000), 1),
+                          (q[:, -1] + 1e-3 * stray / np.linalg.norm(stray), 2)):
+            u, nrm = mgs_orthonormalize(v, basis)
+            u_ref, nrm_ref, sweeps_ref = oracle(v, q)
+            assert sweeps_ref == sweeps
+            assert u.tobytes() == u_ref.tobytes()
+            assert nrm == nrm_ref
 
 
 class TestDenseSymEig:

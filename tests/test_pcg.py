@@ -33,6 +33,24 @@ class TestDeflationBasis:
             v = rng.standard_normal(3000)
             assert basis.project_out(v).tobytes() == (v - q @ (q.T @ v)).tobytes()
 
+    def test_prefix_projects_like_a_basis_of_its_columns(self, rng):
+        q = np.linalg.qr(rng.standard_normal((50, 6)))[0]
+        basis = DeflationBasis(q, capacity=8)
+        view = basis.prefix(4)
+        assert (view.k, basis.k) == (4, 6)
+        assert np.shares_memory(view.buffer, basis.buffer)
+        v = rng.standard_normal(50)
+        want = DeflationBasis(q[:, :4]).project_out(v)
+        assert view.project_out(v).tobytes() == want.tobytes()
+        # growing the parent leaves the view's width alone, and the view cannot grow
+        basis.push(basis.project_out(v) / np.linalg.norm(basis.project_out(v)))
+        assert (view.k, basis.k) == (4, 7)
+        assert view.project_out(v).tobytes() == want.tobytes()
+        with pytest.raises(IndexError):
+            view.push(q[:, 5])
+        # a view past the parent's k reads the columns written there
+        assert np.array_equal(basis.prefix(7).columns, basis.columns)
+
     def test_push_grows_in_place(self):
         basis = DeflationBasis(np.zeros((6, 0)), capacity=2)
         buffer = basis.buffer

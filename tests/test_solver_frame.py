@@ -6,7 +6,7 @@ import pytest
 import lapeig.irlm
 import lapeig.jd
 from lapeig.dacg import dacg_smallest
-from lapeig.generators import random_connected_graph
+from lapeig.generators import path_graph, random_connected_graph
 from lapeig.graphs import build_laplacian
 from lapeig.irlm import irlm_smallest
 from lapeig.jd import jd_smallest
@@ -176,6 +176,20 @@ def test_rayleigh_residuals_charge_one_verify_product_per_column():
     counter = MvpCounter(5)
     rayleigh_residuals(a, np.eye(6)[:, :3], counter)
     assert counter.tallies() == (5, 0, 3, 0, 0)
+
+
+def test_rayleigh_residuals_judge_like_fresh_accept():
+    a = build_laplacian(random_connected_graph(6, extra_edges=4, seed=2))
+    u = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0]) / np.sqrt(2.0)
+    _, theta, relres, _ = fresh_accept(a, u, 1e-6, MvpCounter())
+    # the column is normalized first, so its scale does not matter
+    thetas, resids = rayleigh_residuals(a, 3.0 * u)
+    assert thetas[0] == pytest.approx(theta, rel=1e-15)
+    assert resids[0] == pytest.approx(relres, rel=1e-15)
+    # a kernel vector has theta 0, which no solver may accept
+    thetas, resids = rayleigh_residuals(build_laplacian(path_graph(6)), np.ones(6))
+    assert abs(thetas[0]) <= 1e-15
+    assert resids[0] == np.inf
 
 
 def _count_dense_eigs(monkeypatch, module):
