@@ -10,11 +10,11 @@ the node-count or size line it hands the rest of the file to numpy's C
 text parser (np.loadtxt), straight into int64, int64 and float64
 columns, and checks every row with one vectorized mask.  Where that read
 might differ from the loop it is refused, and the loop reads on: a byte
-outside ASCII or a separator 0x1c-0x1f (loadtxt splits on them,
-bytes.split() does not), any loadtxt error or warning, a failed row
-check, a duplicate without symmetrize, and in Matrix Market a % after a
-field.  The loop names the first failing row and its line; its int()
-and float() also take a few fields loadtxt refuses (1_0).
+outside ASCII that no comment holds or a separator 0x1c-0x1f (loadtxt
+splits on them, bytes.split() does not), any loadtxt error or warning,
+a failed row check, a duplicate without symmetrize, and in Matrix Market
+a % after a field.  The loop names the first failing row and its line;
+its int() and float() also take a few fields loadtxt refuses (1_0).
 """
 
 import contextlib
@@ -73,6 +73,17 @@ class EdgeList:
             if np.any(bad):
                 k = int(np.argmax(bad))
                 raise ValueError(say.format(i=i[k], j=j[k], w=w[k]))
+        self._hold(n_nodes, i, j, w)
+
+    @classmethod
+    def _canonical_checked(cls, n_nodes, i, j, w):
+        """An EdgeList of int64 i, j and float64 w that are already
+        canonical and checked, held without sorting or checking again."""
+        g = cls.__new__(cls)
+        g._hold(n_nodes, i, j, np.ascontiguousarray(w))
+        return g
+
+    def _hold(self, n_nodes, i, j, w):
         self.n_nodes = n_nodes
         self.i, self.j, self.w = i, j, w
         for arr in (self.i, self.j, self.w):
@@ -128,11 +139,12 @@ def _merge_rows(n, symmetrize, i, j, w, rows=None):
         k = int(np.argmax(dup)) + 1
         raise GraphFormatError(f"duplicate edge ({lo[k]}, {hi[k]}); pass symmetrize "
                                "to merge", int(rows[order[k]]))
-    del order  # one word per row: drop it before EdgeList copies the columns
+    del order  # one word per row
     if np.any(dup):
         keep = np.concatenate(([True], ~dup))
         lo, hi, w = lo[keep], hi[keep], np.maximum.reduceat(w, np.flatnonzero(keep))
-    return EdgeList(n, lo, hi, w)
+    # the readers have checked every row, and _canonical has ordered them
+    return EdgeList._canonical_checked(n, lo, hi, w)
 
 
 def _parse_edge_list(data, symmetrize):
@@ -268,13 +280,30 @@ def _int64(field):
     return value
 
 
+def _ascii_outside_comments(data, start, comment):
+    """Whether every byte of data past offset start is ASCII, except in
+    comments, which run from the comment character to the end of the line."""
+    if data.isascii():
+        return True
+    codes, at = np.frombuffer(data, dtype=np.uint8), start
+    while (opens := data.find(comment.encode(), at)) >= 0:
+        if codes[at:opens].max(initial=0) >= 0x80:
+            return False
+        at = data.find(b"\n", opens)
+        if at < 0:
+            return True
+    return codes[at:].max(initial=0) < 0x80
+
+
 def _loadtxt(data, start, comment, names):
     """The named columns (i, j: int64; w: float64) of the rows of data
     after offset start, parsed by numpy's C tokenizer.  loadtxt splits
     fields on the separators 0x1c-0x1f and on non-ASCII spaces, where
-    bytes.split() does not: the first are refused here, the second by the
-    ascii codec."""
+    bytes.split() does not, so both are refused: the separators anywhere,
+    a non-ASCII byte unless a comment holds it."""
     if any(data.find(bytes([c]), start) >= 0 for c in range(0x1c, 0x20)):
+        raise _Refused
+    if not _ascii_outside_comments(data, start, comment):
         raise _Refused
     stream = io.BytesIO(data)
     stream.seek(start)
@@ -286,7 +315,7 @@ def _loadtxt(data, start, comment, names):
         warnings.simplefilter("always")
         try:
             table = np.loadtxt(stream, dtype=dtype, comments=comment, quotechar=None,
-                               ndmin=1, encoding="ascii")
+                               ndmin=1, encoding="utf-8")
         except ValueError as err:
             raise _Refused from err
     if caught:

@@ -33,10 +33,18 @@ so a hub has no O(n^2) scan even as the last row.  Each phase makes a
 fixed number of numpy calls per level.  Random and geometric graphs
 have a few dozen levels, but a path numbered in order has n, and there
 the per-level calls cost more than a plain loop over the rows.
+
+The factor's apply uses the same schedule.  Where a level holds at least
+_SWEEP_MIN_WIDTH rows on average, L y = r and L^T z = y are two sweeps
+over the levels with one scipy C product per level (_LevelSweep).
+Narrower schedules keep two SuperLU triangular solves: SuperLU pays
+about 15 ns per column even on the identity, which wide levels beat and
+many narrow ones do not.
 """
 
 import numpy as np
 from scipy.sparse import csr_array
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import splu
 
 from .sparse import CsrMatrix
@@ -44,6 +52,8 @@ from .sparse import CsrMatrix
 # retry shifts, tried in order until the factorization completes
 SHIFT_SCHEDULE = (1e-8, 1e-6, 1e-4, 1e-3, 1e-2)
 _PIVOT_FLOOR = 1e-14
+# mean rows per level from which two level sweeps beat two SuperLU solves
+_SWEEP_MIN_WIDTH = 128
 
 
 class Ic0Error(RuntimeError):
@@ -53,24 +63,88 @@ class Ic0Error(RuntimeError):
 class Ic0Factor:
     """Lower-triangular incomplete Cholesky factor with its metadata.
 
-    apply(r) solves (L L^T) z = r through two triangular solves.
+    apply(r) solves (L L^T) z = r.  With at least _SWEEP_MIN_WIDTH rows
+    per level on average it sweeps L's levels (_LevelSweep); narrower
+    schedules (paths, grids, small graphs) take two SuperLU triangular
+    solves.  schedule is (order, bounds) of L's levels as _Plan keeps
+    them; without it the levels are found from L's pattern.
     """
 
-    __slots__ = ("l", "shift", "attempts", "_lu")
+    __slots__ = ("l", "shift", "attempts", "_lu", "_sweep")
 
-    def __init__(self, l, shift, attempts):
+    def __init__(self, l, shift, attempts, schedule=None):
         self.l = l
         self.shift = float(shift)
         self.attempts = int(attempts)
-        # natural ordering with pivoting suppressed keeps the factor triangular
-        self._lu = splu(l.csr.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        order, bounds = _schedule(l) if schedule is None else schedule
+        self._lu = self._sweep = None
+        if l.n >= _SWEEP_MIN_WIDTH * (len(bounds) - 1):
+            self._sweep = _LevelSweep(l, order, bounds)
+        else:
+            # natural ordering with pivoting suppressed keeps the factor triangular
+            self._lu = splu(l.csr.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
 
     def apply(self, r):
         r = np.asarray(r, dtype=np.float64)
         if r.shape != (self.l.n,):
             raise ValueError("vector length does not match factor dimension")
+        if self._sweep is not None:
+            return self._sweep.solve(r)
         y = self._lu.solve(r, trans="N")
         return self._lu.solve(y, trans="T")
+
+
+class _LevelSweep:
+    """(L L^T) z = r by substitution over L's levels, one C product per level.
+
+    In level order each level's rows are one contiguous slice, and they
+    depend only on earlier levels in L y = r and only on later levels in
+    L^T z = y.  With each row scaled by 1/l_ii and its off-diagonal
+    entries negated, y = r / diag plus the level's products, so a level
+    is y[lo:hi] += F[lo:hi, :] @ y: one call of scipy's csr_matvec on a
+    row-pointer slice, which adds its products into the slice in place.
+    Sequential C, no BLAS, and no state kept between calls.
+    """
+
+    __slots__ = ("order", "levels", "dinv", "lower", "upper")
+
+    def __init__(self, l, order, bounds):
+        n = l.n
+        lower, row, col, _ = _strict_lower(l)
+        val = l.values[lower]
+        d = l.diagonal()
+        pos = np.empty(n, dtype=np.int64)
+        pos[order] = np.arange(n)
+        self.order = order
+        self.levels = list(zip(bounds[:-1], bounds[1:]))
+        self.dinv = 1.0 / d[order]
+        # row i of L scaled by 1/l_ii, and row k of L^T by 1/l_kk
+        self.lower = _csr_by_row(n, pos[row], pos[col], -val / d[row])
+        self.upper = _csr_by_row(n, pos[col], pos[row], -val / d[col])
+
+    def solve(self, r):
+        n = self.order.size
+        y = r[self.order] * self.dinv
+        # the first level has no lower neighbours, the last none above it
+        ptr, col, val = self.lower
+        for lo, hi in self.levels[1:]:
+            csr_matvec(hi - lo, n, ptr[lo:hi + 1], col, val, y, y[lo:hi])
+        y *= self.dinv
+        ptr, col, val = self.upper
+        for lo, hi in reversed(self.levels[:-1]):
+            csr_matvec(hi - lo, n, ptr[lo:hi + 1], col, val, y, y[lo:hi])
+        z = np.empty_like(y)
+        z[self.order] = y
+        return z
+
+
+def _csr_by_row(n, row, col, val):
+    """CSR arrays (ptr, col, val) of the entries (row, col, val), each row
+    keeping the order the entries came in."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
+    order = _stable_order(row)
+    return ptr, col[order], val[order]
 
 
 def _ranges(starts, counts):
@@ -120,18 +194,31 @@ def _levels(n, ptr, row, col):
     return level, nlev
 
 
+def _strict_lower(a):
+    """Mask of a's strictly lower entries, their rows and columns, and
+    their CSR row pointer."""
+    rows = np.repeat(np.arange(a.n), np.diff(a.row_ptr))
+    lower = a.col_idx < rows
+    row, col = rows[lower], a.col_idx[lower]
+    ptr = np.zeros(a.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=a.n), out=ptr[1:])
+    return lower, row, col, ptr
+
+
+def _schedule(l):
+    """Level order of l's rows and the bounds of each level in it."""
+    _, row, col, ptr = _strict_lower(l)
+    level, nlev = _levels(l.n, ptr, row, col)
+    return _stable_order(level), _bounds(level, nlev)
+
+
 class _Plan:
     """Symbolic phase: the pattern of L and the level schedule."""
 
     def __init__(self, a):
         n = a.n
-        rows = np.repeat(np.arange(n), np.diff(a.row_ptr))
-        lower = a.col_idx < rows
-        row, col = rows[lower], a.col_idx[lower]
-        del rows
+        lower, row, col, ptr = _strict_lower(a)
         m = row.size
-        ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
 
         # triangles (e, ip, kp): positions of (i, k), (i, p) and (k, p),
         # grouped by e in increasing p
@@ -243,7 +330,7 @@ def ic0_factorize(a):
     for attempts, alpha in enumerate(shifts, start=1):
         l = plan.factor(diag, alpha)
         if l is not None:
-            return Ic0Factor(l, alpha, attempts)
+            return Ic0Factor(l, alpha, attempts, (plan.rorder, plan.rptr))
     raise Ic0Error(
         f"pivot breakdown at every shift in {[f'{s:.1e}' for s in shifts]}"
     )

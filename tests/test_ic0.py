@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import diags_array
+from scipy.sparse import csr_array
+from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse.linalg import spsolve_triangular
 
+from lapeig import ic0
 from lapeig.generators import (
     complete_graph,
     cycle_graph,
@@ -19,7 +22,14 @@ from lapeig.generators import (
     star_graph,
 )
 from lapeig.graphs import EdgeList, build_laplacian
-from lapeig.ic0 import _PIVOT_FLOOR, SHIFT_SCHEDULE, Ic0Error, ic0_factorize, identity_factor
+from lapeig.ic0 import (
+    _PIVOT_FLOOR,
+    SHIFT_SCHEDULE,
+    Ic0Error,
+    Ic0Factor,
+    ic0_factorize,
+    identity_factor,
+)
 from lapeig.pcg import pcg_solve
 from lapeig.sparse import CsrMatrix, spmv
 
@@ -274,7 +284,8 @@ class TestScaling:
         assert (f.shift, f.attempts) == (SHIFT_SCHEDULE[0], 2)
         assert elapsed < 60.0
         # a tridiagonal matrix has no fill: L L^T is the shifted matrix
-        shifted = a.csr + f.shift * diags_array(a.diagonal())
+        shifted = a.csr.copy()
+        shifted.setdiag(a.diagonal() * (1.0 + f.shift))
         assert abs(f.l.csr @ f.l.csr.T - shifted).max() <= 1e-12
 
 
@@ -301,3 +312,93 @@ class TestPreconditioning:
             fancy = pcg_solve(spd, f, b, 1e-10, 500)
             assert plain.converged and fancy.converged
             assert fancy.iterations < plain.iterations
+
+
+def reference_apply(f, r):
+    """(L L^T)^-1 r by scipy's triangular solves, with L and then L^T."""
+    y = spsolve_triangular(f.l.csr, r, lower=True)
+    return spsolve_triangular(csr_array(f.l.csr.T), y, lower=False)
+
+
+def spread_weights(g, seed):
+    """g with weights 10^-3..10^3."""
+    w = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, g.m)
+    return EdgeList(g.n_nodes, g.i, g.j, w)
+
+
+APPLY_GRAPHS = {
+    "random": lambda: random_connected_graph(500, extra_edges=1000, seed=3),
+    "geometric": lambda: geometric_graph(800, 0.06),
+    "star": lambda: star_graph(60, weight=3.0),
+    "hub-last star": lambda: hub_last_star(60, weight=3.0),
+    "grid": lambda: grid_graph(20, 20),
+    "weighted": lambda: spread_weights(random_connected_graph(300, extra_edges=600, seed=8), 8),
+}
+
+
+class TestApply:
+    """Both ways of applying the factor solve L L^T z = r."""
+
+    @pytest.mark.parametrize("name", list(APPLY_GRAPHS))
+    @pytest.mark.parametrize("sweep", [True, False])
+    def test_matches_triangular_solves(self, monkeypatch, rng, name, sweep):
+        monkeypatch.setattr(ic0, "_SWEEP_MIN_WIDTH", 0 if sweep else 10**9)
+        f = ic0_factorize(build_laplacian(APPLY_GRAPHS[name]()))
+        assert (f._sweep is not None, f._lu is not None) == (sweep, not sweep)
+        for _ in range(3):
+            r = rng.standard_normal(f.l.n)
+            want = reference_apply(f, r)
+            assert np.linalg.norm(f.apply(r) - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_width_of_the_schedule_picks_the_path(self):
+        narrow = ic0_factorize(build_laplacian(path_graph(2000)))
+        assert narrow._sweep is None and narrow._lu is not None
+        wide = ic0_factorize(build_laplacian(random_connected_graph(20000, 50000, seed=1)))
+        assert wide._sweep is not None and wide._lu is None
+
+    @pytest.mark.parametrize("n", [7, 1000])
+    def test_identity_factor_is_one_exact_level(self, rng, n):
+        f = identity_factor(n)
+        assert (f._sweep is not None) == (n >= ic0._SWEEP_MIN_WIDTH)
+        v = rng.standard_normal(n)
+        assert np.array_equal(f.apply(v), v)
+
+    @pytest.mark.parametrize("width", [0, 10**9])
+    def test_leaves_r_alone_and_repeats_its_bits(self, monkeypatch, rng, width):
+        monkeypatch.setattr(ic0, "_SWEEP_MIN_WIDTH", width)
+        f = ic0_factorize(build_laplacian(geometric_graph(800, 0.06)))
+        r = rng.standard_normal(f.l.n)
+        kept = r.copy()
+        first = f.apply(r)
+        assert np.array_equal(r, kept)
+        for _ in range(3):
+            assert f.apply(r).tobytes() == first.tobytes()
+
+    def test_factor_built_from_l_alone_applies_the_same(self, monkeypatch, rng):
+        monkeypatch.setattr(ic0, "_SWEEP_MIN_WIDTH", 0)
+        f = ic0_factorize(build_laplacian(random_connected_graph(2000, 5000, seed=2)))
+        g = Ic0Factor(f.l, f.shift, f.attempts)  # finds the levels from L itself
+        assert g._sweep is not None
+        r = rng.standard_normal(f.l.n)
+        assert g.apply(r).tobytes() == f.apply(r).tobytes()
+
+
+def test_private_csr_matvec_adds_into_a_slice_view():
+    # _LevelSweep relies on this behaviour of a private scipy function:
+    # csr_matvec(n_row, n_col, ptr, col, val, x, y) adds rows ptr[0]..ptr[-1]
+    # of the CSR arrays times x into y, in place, with int64 indices and a
+    # row-pointer slice, and y a contiguous slice view of a larger array
+    dense = np.random.default_rng(5).standard_normal((6, 9))
+    dense[np.abs(dense) < 0.7] = 0.0
+    a = csr_array(dense)
+    ptr, col = a.indptr.astype(np.int64), a.indices.astype(np.int64)
+    x = np.random.default_rng(6).standard_normal(9)
+    y = np.arange(12.0)
+    want = y.copy()
+    for row, at in zip(range(2, 5), range(7, 10)):
+        for k in range(ptr[row], ptr[row + 1]):
+            want[at] += a.data[k] * x[col[k]]
+    x_kept = x.copy()
+    csr_matvec(3, 9, ptr[2:6], col, a.data, x, y[7:10])
+    assert y.tobytes() == want.tobytes()
+    assert np.array_equal(x, x_kept)

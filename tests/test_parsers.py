@@ -382,9 +382,13 @@ WELL_FORMED = [
      [(0, 1, 4.0), (0, 2, 9.0)]),
     ("mtx", MM_HEAD.format("pattern") + "\n3 3 2\n2\t1\n% last\n3 2\n",
      [(0, 1, 1.0), (1, 2, 1.0)]),
-    # loadtxt reads only the rows past the count or size line as ascii
+    # a byte outside ASCII is read by the C parser inside a comment
     ("edgelist", "# na\u00efve\n3\n0 1 1.5\n", [(0, 1, 1.5)]),
     ("mtx", MM_HEAD.format("real") + "% caf\u00e9\n3 3 1\n2 1 1.5\n", [(0, 1, 1.5)]),
+    ("edgelist", "3\n0 1 1.0 # na\u00efve\n1 2 2.0\n", [(0, 1, 1.0), (1, 2, 2.0)]),
+    ("edgelist", "3\n0 1 1.0\n1 2 2.0\n# na\u00efve", [(0, 1, 1.0), (1, 2, 2.0)]),
+    ("mtx", MM_HEAD.format("real") + "3 3 2\n2 1 1.5\n% \u00e9t\u00e9 \u2028\n3 2 1.0\n",
+     [(0, 1, 1.5), (1, 2, 1.0)]),
 ]
 
 # inputs on which np.loadtxt and the line loop disagree: each gives what
@@ -410,7 +414,13 @@ DISAGREEING = [
     ("edgelist", "3\n0\x1c1 1.0\n", ("expected 'i j w', got '0\\x1c1 1.0'", 2)),
     # a lone carriage return is no line end in bytes
     ("edgelist", "3\n0 1 1.0\r1 2 2.0\n", ("expected 'i j w', got '0 1 1.0\\r1 2 2.0'", 2)),
-    ("edgelist", "3\n0 1 1.0 # na\u00efve\n1 2 2.0\n", [(0, 1, 1.0), (1, 2, 2.0)]),
+    # outside a comment a byte outside ASCII is refused, wherever a comment follows
+    ("edgelist", "3\n0 1 1.0\u00e9\n# na\u00efve\n",
+     ("could not parse edge '0 1 1.0\u00e9'", 2)),
+    ("edgelist", "3\n0 1 1.0\n1 2 2.0 \u00e9 # x\n",
+     ("expected 'i j w', got '1 2 2.0 \u00e9'", 3)),
+    ("mtx", MM_HEAD.format("real") + "% \u00e9\n3 3 1\n2 1 1.\u00e9\n",
+     ("could not parse entry '2 1 1.\u00e9'", 4)),
 ]
 
 
