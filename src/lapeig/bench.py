@@ -28,6 +28,9 @@ from .jd import jd_smallest
 from .results import SolverError, SolverReport, rayleigh_residuals, spent
 from .sparse import MvpCounter
 
+# the most verified vectors may miss orthonormality or reach into the kernel by
+VECTOR_TOL = 1e-8
+
 # the one map from solver names to solvers, in the order reports list them
 SOLVERS = {"dacg": dacg_smallest, "jd": jd_smallest, "irlm": irlm_smallest}
 
@@ -91,7 +94,9 @@ def run_graph(edges, config):
     Solver failures are isolated: a failed solver yields a report with
     converged False and the error message in its config echo, and the
     remaining solvers still run.  A solver that claims convergence but
-    whose pairs fail independent residual recomputation aborts the run.
+    whose pairs fail independent residual recomputation, or whose
+    vectors miss orthonormality or reach into the kernel by more than
+    VECTOR_TOL, aborts the run with a RuntimeError.
     """
     names = config.selection()
     if config.neig < 1:
@@ -147,10 +152,13 @@ def run_graph(edges, config):
         # fresh products on a throwaway counter, independent of the
         # solver's own exit test
         thetas, resids = rayleigh_residuals(a, pairs.positive()[1], MvpCounter())
-        if len(thetas) != neig or np.any(resids > config.delta):
+        gram, overlap = pairs.gram_defect(), pairs.kernel_overlap()
+        if (len(thetas) != neig or np.any(resids > config.delta)
+                or max(gram, overlap) > VECTOR_TOL):
             raise RuntimeError(
                 f"{name} claimed convergence but recomputed residuals are "
-                f"{resids.tolist()} against delta={config.delta}"
+                f"{resids.tolist()} against delta={config.delta}, Gram defect "
+                f"{gram:.3e} and kernel overlap {overlap:.3e} against {VECTOR_TOL}"
             )
         report.converged = True
         report.per_pair_residuals = [float(r) for r in resids]

@@ -77,7 +77,8 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
     pair's start vector lies in the deflated span or the pair exceeds
     _MAXIT_PER_PAIR iterations.
     """
-    counter, guard, f, start = solver_setup(a, neig, counter, null_basis, f, neig)
+    counter, guard, f, t0 = solver_setup(a, neig, counter, null_basis, f, neig, seed=seed,
+                                         maxit_per_pair=_MAXIT_PER_PAIR)
     rng = np.random.default_rng(seed)
     reset_period = max(1, a.n // 10)
 
@@ -170,6 +171,5 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
         per_pair.append(its)
         guard.push(u)
 
-    return solver_result(
-        "dacg", delta, counter, start, vals, vecs, resids, seed=seed,
-        maxit_per_pair=_MAXIT_PER_PAIR, iterations_per_pair=per_pair)
+    return solver_result("dacg", delta, counter, t0, vals, vecs, resids,
+                         iterations_per_pair=per_pair)

@@ -328,18 +328,19 @@ def load_edge_list(source, format="edgelist", symmetrize=False):
 
     format is "edgelist" (first line n, then 'i j w' lines, # comments)
     or "mtx" (Matrix Market coordinate; diagonal entries are dropped,
-    off-diagonal magnitudes become weights).
+    off-diagonal magnitudes become weights).  In every source \r\n and
+    a lone \r end a line, as in a file opened in text mode.
     """
     if format not in ("edgelist", "mtx"):
         raise ValueError(f"unknown format {format!r}")
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes()
-        if b"\r" in data:  # \r\n and \r end a line, as in a file opened in text mode
-            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     elif isinstance(source, bytes):
         data = source
     else:
         data = source.read().encode()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
         data.decode("utf-8")  # one pass over the whole file, so the offset names the line
     except UnicodeDecodeError as err:

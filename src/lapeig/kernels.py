@@ -1,10 +1,9 @@
 """Small dense kernels shared by the sparse eigensolvers.
 
 Contains Gram-Schmidt against a DeflationBasis with conditional
-reorthogonalization, a sign-fixed thin-QR basis, and the dense
-symmetric eigensolver for projected matrices (LAPACK through
-numpy.linalg.eigh).  Its dimension is capped at DENSE_EIG_MAX_DIM,
-which bounds IRLM's basis and JD's search space.
+reorthogonalization and the dense symmetric eigensolver for projected
+matrices (LAPACK through numpy.linalg.eigh).  Its dimension is capped
+at DENSE_EIG_MAX_DIM, which bounds JD's search space and IRLM's basis.
 """
 
 import numpy as np
@@ -44,12 +43,6 @@ def mgs_orthonormalize(v, basis):
             f"vector collapsed to {norm_out:.3e} of its input norm {norm_in:.3e}"
         )
     return v / norm_out, norm_out
-
-
-def orthonormal_columns(x):
-    """Thin-QR basis of x's columns, each signed to match its source column."""
-    q, r = np.linalg.qr(x)
-    return q * np.where(np.diag(r) < 0, -1.0, 1.0)
 
 
 def dense_sym_eig(h, max_dim=DENSE_EIG_MAX_DIM):

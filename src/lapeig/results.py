@@ -70,7 +70,7 @@ class SolverReport:
     The cost fields come from the run's MvpCounter tallies (see spent),
     so mvp == mvp_outer + inner_its_total + mvp_verify by construction;
     config holds mvp_outer, mvp_verify, restarts and seed, then the
-    solver's own settings.
+    solver's own settings, then what the run found.
     """
 
     solver: str
@@ -86,15 +86,15 @@ class SolverReport:
     config: dict = field(default_factory=dict)
 
 
-def solver_setup(a, neig, counter, null_basis, f, room):
+def solver_setup(a, neig, counter, null_basis, f, room, *, seed, **settings):
     """Check the arguments, then default the counter, kernel basis and factor.
 
     null_basis must have a.n rows and neig must lie in [1, a.n -
     null_basis.k], both checked before the costly IC(0) default.  Returns
-    (counter, guard, f, start); guard copies null_basis with room for
-    room more columns, so growing it never touches the caller's basis,
-    and start marks the run's clock and the counter's tallies at entry
-    for solver_result.
+    (counter, guard, f, t0); guard copies null_basis with room for room
+    more columns, so growing it never touches the caller's basis, and t0
+    is the run's clock at entry.  The counter keeps the seed and the
+    solver's effective settings for spent, a failed run's report too.
     """
     t0 = time.perf_counter()
     if null_basis is None:
@@ -113,7 +113,8 @@ def solver_setup(a, neig, counter, null_basis, f, room):
     if f is None:
         f = ic0_factorize(a)
     guard = DeflationBasis(null_basis.columns, null_basis.k + room)
-    return counter, guard, f, (t0, counter.tallies())
+    counter.open_run(seed=seed, **settings)
+    return counter, guard, f, t0
 
 
 def fresh_accept(a, u, delta, counter):
@@ -130,24 +131,24 @@ def fresh_accept(a, u, delta, counter):
     return relres <= delta, theta, relres, w
 
 
-def spent(counter, marks=(0, 0, 0, 0, 0)):
-    """A report's cost fields and config keys: what counter spent since marks, a tallies()."""
-    outer, inner, verify, solves, restarts = (t - m for t, m in zip(counter.tallies(), marks))
+def spent(counter):
+    """A report's cost fields and config keys: what counter spent since its
+    run's entry, then the settings the run opened it with."""
+    outer, inner, verify, solves, restarts = (
+        t - m for t, m in zip(counter.tallies(), counter.marks))
     return (dict(mvp=outer + inner + verify, outer_its=solves, inner_its_total=inner),
-            dict(mvp_outer=outer, mvp_verify=verify, restarts=restarts))
+            dict(mvp_outer=outer, mvp_verify=verify, restarts=restarts, **counter.settings))
 
 
-def solver_result(solver, delta, counter, start, vals, vecs, resids, *, seed,
-                  **settings):
+def solver_result(solver, delta, counter, t0, vals, vecs, resids, **found):
     """Sort the accepted pairs into an EigenPairSet and report the run.
 
     vals, vecs and resids list the accepted pairs in any order, one
-    unit vector per value; start is solver_setup's mark, so the cost
-    fields count only this run's products even on a charged counter.
-    The config holds the ledger keys, then the solver's own settings.
+    unit vector per value; t0 is solver_setup's clock.  The config holds
+    what spent reads off the counter, then found (such as DACG's
+    iterations per pair).
     """
-    t0, marks = start
-    fields, ledger = spent(counter, marks)
+    fields, ledger = spent(counter)
     order = np.argsort(vals, kind="stable")
     pairs = EigenPairSet(np.asarray(vals)[order],
                          np.column_stack(vecs)[:, order],
@@ -161,7 +162,7 @@ def solver_result(solver, delta, counter, start, vals, vecs, resids, *, seed,
         converged=True,
         per_pair_residuals=pairs.residuals.tolist(),
         eigenvalues=pairs.values.tolist(),
-        config=dict(**ledger, seed=seed, **settings),
+        config=dict(**ledger, **found),
     )
     return pairs, report
 

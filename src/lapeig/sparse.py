@@ -18,14 +18,17 @@ class MvpCounter:
     to the constructor), inner one per PCG or DACG iteration, verify the
     fresh acceptance products; solves counts inner solves, one per
     pcg_solve call, and restarts the solvers' subspace restarts.  count
-    is the sum of the three product tallies.
+    is the sum of the three product tallies.  open_run marks the tallies
+    at a solver run's entry and keeps that run's effective settings, so
+    a report, a failed run's too, reads both off the counter.
     """
 
-    __slots__ = ("outer", "inner", "verify", "solves", "restarts")
+    __slots__ = ("outer", "inner", "verify", "solves", "restarts", "marks", "settings")
 
     def __init__(self, count=0):
         self.outer = int(count)
         self.inner = self.verify = self.solves = self.restarts = 0
+        self.marks, self.settings = (0, 0, 0, 0, 0), {}
 
     @property
     def count(self):
@@ -37,6 +40,10 @@ class MvpCounter:
     def tallies(self):
         """(outer, inner, verify, solves, restarts), a snapshot to subtract later."""
         return self.outer, self.inner, self.verify, self.solves, self.restarts
+
+    def open_run(self, **settings):
+        """Mark the tallies at a solver run's entry and keep its settings."""
+        self.marks, self.settings = self.tallies(), settings
 
     def __repr__(self):
         return (f"MvpCounter(outer={self.outer}, inner={self.inner}, "

@@ -25,6 +25,7 @@ from lapeig.generators import path_graph, random_connected_graph
 from lapeig.graphs import build_laplacian
 from lapeig.ic0 import ic0_factorize
 from lapeig.irlm import ncv_for
+from lapeig.results import EigenPairSet, SolverReport
 from tests.conftest import dense_positive_pairs
 from tests.test_solver_frame import LEDGER_KEYS
 
@@ -137,11 +138,47 @@ class TestRunGraph:
         assert (report.config["mvp_outer"], report.config["mvp_verify"]) == (3, 0)
         assert LEDGER_KEYS <= report.config.keys()
         assert report.config["restarts"] == 0
+        # the solver's effective settings, not the RunConfig's None
+        assert (report.config["m_min"], report.config["m_max"]) == (5, 10)
+        assert (report.config["delta_pcg"], report.config["itmax_inner"]) == (1e-2, 20)
         # a basis of at most four columns restarts once before a cap of four steps
         monkeypatch.setattr(lapeig.jd, "_MAX_OUTER_PER_PAIR", 4)
         (report,) = run_graph(edges, RunConfig(solver="jd", neig=3, m_min=2, m_max=4))
         assert not report.converged
         assert report.config["restarts"] == 1
+
+    def test_failed_irlm_run_keeps_its_settings(self, monkeypatch):
+        # one ARPACK pass and no restart is too little at ncv 6
+        monkeypatch.setattr(lapeig.irlm, "_MAX_RESTARTS", 0)
+        edges = random_connected_graph(30, extra_edges=25, seed=11)
+        (report,) = run_graph(edges, RunConfig(solver="irlm", neig=3, ncv=6, delta=1e-8))
+        assert not report.converged
+        assert "No convergence" in report.config["error"]
+        assert (report.config["ncv"], report.config["delta_pcg"]) == (6, 1e-10)
+        assert report.config["maxit_inner"] == lapeig.irlm._MAXIT_INNER
+        assert report.outer_its > 0 and report.config["mvp_verify"] == 0
+
+    @pytest.mark.parametrize("kernel_part, match", [(0.0, "Gram defect 1.000e"),
+                                                     (1e-7, "kernel overlap 1.000e-07")])
+    def test_vectors_the_benchmark_refuses_are_refused(self, monkeypatch, kernel_part,
+                                                        match):
+        # each pair passes the residual test: the same eigenvector twice, or
+        # an eigenvector with a 1e-7 kernel part (relative residual about 1e-7)
+        def fake(a, neig, f=None, counter=None):
+            vals, vecs = np.linalg.eigh(a.toarray())
+            u = vecs[:, 1] + kernel_part * np.full(a.n, a.n ** -0.5)
+            u /= np.linalg.norm(u)
+            if kernel_part:
+                cols = [u, *vecs[:, 2:neig + 1].T]
+            else:
+                cols = [u] * neig
+            pairs = EigenPairSet(vals[1:neig + 1], np.column_stack(cols), np.zeros(neig))
+            return pairs, SolverReport("jd", neig, 1e-6, 0, 0, 0, 0.0, True)
+
+        monkeypatch.setitem(lapeig.bench.SOLVERS, "jd", fake)
+        edges = random_connected_graph(30, extra_edges=25, seed=8)
+        with pytest.raises(RuntimeError, match=match):
+            run_graph(edges, RunConfig(solver="jd", neig=2))
 
     def test_unknown_solver_is_rejected_before_factoring(self, monkeypatch):
         calls = []

@@ -132,7 +132,7 @@ class TestEdgeListParser:
         blob = b"3\n0 1 1.0\n1 2 \xff\n"
         path = tmp_path / "bad.txt"
         path.write_bytes(blob.replace(b"\n", b"\r"))  # a path ends a line at \r too
-        for source in (blob, path):
+        for source in (blob, blob.replace(b"\n", b"\r"), path):
             with pytest.raises(GraphFormatError, match="byte 0xff is not UTF-8") as err:
                 load_edge_list(source)
             assert err.value.line == 3

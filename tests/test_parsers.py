@@ -382,6 +382,11 @@ WELL_FORMED = [
      [(0, 1, 4.0), (0, 2, 9.0)]),
     ("mtx", MM_HEAD.format("pattern") + "\n3 3 2\n2\t1\n% last\n3 2\n",
      [(0, 1, 1.0), (1, 2, 1.0)]),
+    # a lone carriage return ends a line in every source, bytes and streams too
+    ("edgelist", "3\r0 1 1.0\r1 2 2.0\r", [(0, 1, 1.0), (1, 2, 2.0)]),
+    ("edgelist", "3\n0 1 1.0\r1 2 2.0\n", [(0, 1, 1.0), (1, 2, 2.0)]),
+    ("mtx", MM_HEAD.format("real").replace("\n", "\r") + "% c\r3 3 2\r2 1 1.5\r3 2 1.0\r",
+     [(0, 1, 1.5), (1, 2, 1.0)]),
     # a byte outside ASCII is read by the C parser inside a comment
     ("edgelist", "# na\u00efve\n3\n0 1 1.5\n", [(0, 1, 1.5)]),
     ("mtx", MM_HEAD.format("real") + "% caf\u00e9\n3 3 1\n2 1 1.5\n", [(0, 1, 1.5)]),
@@ -412,8 +417,6 @@ DISAGREEING = [
     # loadtxt splits on these, bytes.split() does not
     ("edgelist", "3\n0 1 1.0\u00a0\n", ("could not parse edge '0 1 1.0\\xa0'", 2)),
     ("edgelist", "3\n0\x1c1 1.0\n", ("expected 'i j w', got '0\\x1c1 1.0'", 2)),
-    # a lone carriage return is no line end in bytes
-    ("edgelist", "3\n0 1 1.0\r1 2 2.0\n", ("expected 'i j w', got '0 1 1.0\\r1 2 2.0'", 2)),
     # outside a comment a byte outside ASCII is refused, wherever a comment follows
     ("edgelist", "3\n0 1 1.0\u00e9\n# na\u00efve\n",
      ("could not parse edge '0 1 1.0\u00e9'", 2)),

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import lapeig.irlm
 import lapeig.jd
 from lapeig.dacg import dacg_smallest
 from lapeig.generators import path_graph, random_connected_graph
@@ -11,7 +10,7 @@ from lapeig.graphs import build_laplacian
 from lapeig.irlm import irlm_smallest
 from lapeig.jd import jd_smallest
 from lapeig.pcg import DeflationBasis, kernel_basis
-from lapeig.results import fresh_accept, rayleigh_residuals
+from lapeig.results import fresh_accept, rayleigh_residuals, spent
 from lapeig.sparse import CsrMatrix, MvpCounter
 
 LEDGER_KEYS = {"mvp_outer", "mvp_verify", "restarts", "seed"}
@@ -171,6 +170,19 @@ class TestFreshAccept:
         assert not ok
 
 
+def test_spent_counts_from_the_run_entry_and_adds_its_settings():
+    counter = MvpCounter(7)
+    counter.increment(3, "inner")
+    # before a run opens, everything counts and no setting is known
+    assert spent(counter) == (dict(mvp=10, outer_its=0, inner_its_total=3),
+                              dict(mvp_outer=7, mvp_verify=0, restarts=0))
+    counter.open_run(seed=4, ncv=12)
+    counter.increment(2, "verify")
+    counter.solves += 1
+    assert spent(counter) == (dict(mvp=2, outer_its=1, inner_its_total=0),
+                              dict(mvp_outer=0, mvp_verify=2, restarts=0, seed=4, ncv=12))
+
+
 def test_rayleigh_residuals_charge_one_verify_product_per_column():
     a = build_laplacian(random_connected_graph(6, extra_edges=4, seed=2))
     counter = MvpCounter(5)
@@ -212,11 +224,3 @@ def test_jd_decomposes_each_projected_matrix_once(monkeypatch):
     _, report = jd_smallest(a, 5, delta=1e-6, m_min=2, m_max=4, seed=0)
     assert report.config["restarts"] > 0
     assert len(calls) == report.outer_its + 5
-
-
-def test_irlm_decomposes_each_cycle_once(monkeypatch):
-    calls = _count_dense_eigs(monkeypatch, lapeig.irlm)
-    a = build_laplacian(random_connected_graph(30, extra_edges=25, seed=11))
-    _, report = irlm_smallest(a, 3, ncv=6, delta=1e-8, seed=0)
-    assert report.config["restarts"] > 0
-    assert len(calls) == report.config["restarts"] + 1
