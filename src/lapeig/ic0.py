@@ -34,26 +34,27 @@ fixed number of numpy calls per level.  Random and geometric graphs
 have a few dozen levels, but a path numbered in order has n, and there
 the per-level calls cost more than a plain loop over the rows.
 
-The factor's apply uses the same schedule.  Where a level holds at least
-_SWEEP_MIN_WIDTH rows on average, L y = r and L^T z = y are two sweeps
-over the levels with one scipy C product per level (_LevelSweep).
-Narrower schedules keep two SuperLU triangular solves: SuperLU pays
-about 15 ns per column even on the identity, which wide levels beat and
-many narrow ones do not.
+The factor's apply solves L y = r and then L^T z = y, each with one call
+of scipy's C csr_matvec.  With each row scaled by 1/l_ii and its
+off-diagonal entries negated, y = r / diag(L) + F y for a strictly lower
+F.  csr_matvec(n, n, F, x, y) sets y[i] += F[i, :] @ x for i = 0, 1, ...
+in turn, so with x and y the same array row i reads the rows before it
+already solved: one call is the whole forward substitution.  L^T is
+stored with its rows and columns numbered n-1-k, which makes it lower
+triangular too.  Every row sees the same operations in the same order
+as in a row-by-row loop; there is no per-level call, no BLAS and no
+state kept between calls.
 """
 
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse._sparsetools import csr_matvec
-from scipy.sparse.linalg import splu
 
 from .sparse import CsrMatrix
 
 # retry shifts, tried in order until the factorization completes
 SHIFT_SCHEDULE = (1e-8, 1e-6, 1e-4, 1e-3, 1e-2)
 _PIVOT_FLOOR = 1e-14
-# mean rows per level from which two level sweeps beat two SuperLU solves
-_SWEEP_MIN_WIDTH = 128
 
 
 class Ic0Error(RuntimeError):
@@ -63,79 +64,36 @@ class Ic0Error(RuntimeError):
 class Ic0Factor:
     """Lower-triangular incomplete Cholesky factor with its metadata.
 
-    apply(r) solves (L L^T) z = r.  With at least _SWEEP_MIN_WIDTH rows
-    per level on average it sweeps L's levels (_LevelSweep); narrower
-    schedules (paths, grids, small graphs) take two SuperLU triangular
-    solves.  schedule is (order, bounds) of L's levels as _Plan keeps
-    them; without it the levels are found from L's pattern.
+    apply(r) solves (L L^T) z = r by two in-place csr_matvec calls, one
+    per triangle, over copies of L's off-diagonal entries scaled by their
+    row's pivot (see the module docstring).  r is left untouched.
     """
 
-    __slots__ = ("l", "shift", "attempts", "_lu", "_sweep")
+    __slots__ = ("l", "shift", "attempts", "_dinv", "_lower", "_upper")
 
-    def __init__(self, l, shift, attempts, schedule=None):
+    def __init__(self, l, shift, attempts):
         self.l = l
         self.shift = float(shift)
         self.attempts = int(attempts)
-        order, bounds = _schedule(l) if schedule is None else schedule
-        self._lu = self._sweep = None
-        if l.n >= _SWEEP_MIN_WIDTH * (len(bounds) - 1):
-            self._sweep = _LevelSweep(l, order, bounds)
-        else:
-            # natural ordering with pivoting suppressed keeps the factor triangular
-            self._lu = splu(l.csr.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        n = l.n
+        lower, row, col, ptr = _strict_lower(l)
+        val = l.values[lower]
+        d = l.diagonal()
+        self._dinv = 1.0 / d
+        # row i of L scaled by 1/l_ii; row k of L^T by 1/l_kk, numbered n-1-k
+        self._lower = ptr, col, -val / d[row]
+        self._upper = _csr_by_row(n, n - 1 - col, n - 1 - row, -val / d[col])
 
     def apply(self, r):
         r = np.asarray(r, dtype=np.float64)
-        if r.shape != (self.l.n,):
+        n = self.l.n
+        if r.shape != (n,):
             raise ValueError("vector length does not match factor dimension")
-        if self._sweep is not None:
-            return self._sweep.solve(r)
-        y = self._lu.solve(r, trans="N")
-        return self._lu.solve(y, trans="T")
-
-
-class _LevelSweep:
-    """(L L^T) z = r by substitution over L's levels, one C product per level.
-
-    In level order each level's rows are one contiguous slice, and they
-    depend only on earlier levels in L y = r and only on later levels in
-    L^T z = y.  With each row scaled by 1/l_ii and its off-diagonal
-    entries negated, y = r / diag plus the level's products, so a level
-    is y[lo:hi] += F[lo:hi, :] @ y: one call of scipy's csr_matvec on a
-    row-pointer slice, which adds its products into the slice in place.
-    Sequential C, no BLAS, and no state kept between calls.
-    """
-
-    __slots__ = ("order", "levels", "dinv", "lower", "upper")
-
-    def __init__(self, l, order, bounds):
-        n = l.n
-        lower, row, col, _ = _strict_lower(l)
-        val = l.values[lower]
-        d = l.diagonal()
-        pos = np.empty(n, dtype=np.int64)
-        pos[order] = np.arange(n)
-        self.order = order
-        self.levels = list(zip(bounds[:-1], bounds[1:]))
-        self.dinv = 1.0 / d[order]
-        # row i of L scaled by 1/l_ii, and row k of L^T by 1/l_kk
-        self.lower = _csr_by_row(n, pos[row], pos[col], -val / d[row])
-        self.upper = _csr_by_row(n, pos[col], pos[row], -val / d[col])
-
-    def solve(self, r):
-        n = self.order.size
-        y = r[self.order] * self.dinv
-        # the first level has no lower neighbours, the last none above it
-        ptr, col, val = self.lower
-        for lo, hi in self.levels[1:]:
-            csr_matvec(hi - lo, n, ptr[lo:hi + 1], col, val, y, y[lo:hi])
-        y *= self.dinv
-        ptr, col, val = self.upper
-        for lo, hi in reversed(self.levels[:-1]):
-            csr_matvec(hi - lo, n, ptr[lo:hi + 1], col, val, y, y[lo:hi])
-        z = np.empty_like(y)
-        z[self.order] = y
-        return z
+        y = r * self._dinv
+        csr_matvec(n, n, *self._lower, y, y)
+        w = y[::-1] * self._dinv[::-1]
+        csr_matvec(n, n, *self._upper, w, w)
+        return w[::-1].copy()
 
 
 def _csr_by_row(n, row, col, val):
@@ -203,13 +161,6 @@ def _strict_lower(a):
     ptr = np.zeros(a.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(row, minlength=a.n), out=ptr[1:])
     return lower, row, col, ptr
-
-
-def _schedule(l):
-    """Level order of l's rows and the bounds of each level in it."""
-    _, row, col, ptr = _strict_lower(l)
-    level, nlev = _levels(l.n, ptr, row, col)
-    return _stable_order(level), _bounds(level, nlev)
 
 
 class _Plan:
@@ -330,7 +281,7 @@ def ic0_factorize(a):
     for attempts, alpha in enumerate(shifts, start=1):
         l = plan.factor(diag, alpha)
         if l is not None:
-            return Ic0Factor(l, alpha, attempts, (plan.rorder, plan.rptr))
+            return Ic0Factor(l, alpha, attempts)
     raise Ic0Error(
         f"pivot breakdown at every shift in {[f'{s:.1e}' for s in shifts]}"
     )

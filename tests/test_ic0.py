@@ -11,7 +11,6 @@ from scipy.sparse import csr_array
 from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import spsolve_triangular
 
-from lapeig import ic0
 from lapeig.generators import (
     complete_graph,
     cycle_graph,
@@ -326,6 +325,36 @@ def spread_weights(g, seed):
     return EdgeList(g.n_nodes, g.i, g.j, w)
 
 
+def reference_substitution(f, r):
+    """(L L^T)^-1 r by a row-by-row loop in the order apply documents.
+
+    With dinv = 1 / diag(L): row i of L y = r starts at r_i * dinv_i and
+    adds (-l_ij / l_ii) * y_j over its stored j < i in increasing j, for
+    i = 0, 1, ...; row k of L^T z = y starts at y_k * dinv_k and adds
+    (-l_ik / l_kk) * z_i over its stored i > k in increasing i, for
+    k = n - 1, ..., 0.
+    """
+    n = f.l.n
+    d = f.l.diagonal()
+    dinv = 1.0 / d
+    upper = [[] for _ in range(n)]  # (i, l_ik) of column k, in increasing i
+    y = r * dinv
+    for i in range(n):
+        cols, vals = f.l.row(i)
+        s = y[i]
+        for j, v in zip(cols[:-1], vals[:-1]):
+            s += (-v / d[i]) * y[j]
+            upper[j].append((i, v))
+        y[i] = s
+    z = y * dinv
+    for k in reversed(range(n)):
+        s = z[k]
+        for i, v in upper[k]:
+            s += (-v / d[k]) * z[i]
+        z[k] = s
+    return z
+
+
 APPLY_GRAPHS = {
     "random": lambda: random_connected_graph(500, extra_edges=1000, seed=3),
     "geometric": lambda: geometric_graph(800, 0.06),
@@ -333,39 +362,42 @@ APPLY_GRAPHS = {
     "hub-last star": lambda: hub_last_star(60, weight=3.0),
     "grid": lambda: grid_graph(20, 20),
     "weighted": lambda: spread_weights(random_connected_graph(300, extra_edges=600, seed=8), 8),
+    "path 2000": lambda: path_graph(2000),
+    "path 2": lambda: path_graph(2),
 }
 
 
 class TestApply:
-    """Both ways of applying the factor solve L L^T z = r."""
+    """The apply solves L L^T z = r by two in-place substitutions."""
 
     @pytest.mark.parametrize("name", list(APPLY_GRAPHS))
-    @pytest.mark.parametrize("sweep", [True, False])
-    def test_matches_triangular_solves(self, monkeypatch, rng, name, sweep):
-        monkeypatch.setattr(ic0, "_SWEEP_MIN_WIDTH", 0 if sweep else 10**9)
+    def test_matches_triangular_solves(self, rng, name):
         f = ic0_factorize(build_laplacian(APPLY_GRAPHS[name]()))
-        assert (f._sweep is not None, f._lu is not None) == (sweep, not sweep)
         for _ in range(3):
             r = rng.standard_normal(f.l.n)
             want = reference_apply(f, r)
             assert np.linalg.norm(f.apply(r) - want) <= 1e-13 * np.linalg.norm(want)
 
-    def test_width_of_the_schedule_picks_the_path(self):
-        narrow = ic0_factorize(build_laplacian(path_graph(2000)))
-        assert narrow._sweep is None and narrow._lu is not None
-        wide = ic0_factorize(build_laplacian(random_connected_graph(20000, 50000, seed=1)))
-        assert wide._sweep is not None and wide._lu is None
+    def test_bitwise_the_row_by_row_substitution(self, rng):
+        f = ic0_factorize(build_laplacian(
+            spread_weights(random_connected_graph(300, extra_edges=700, seed=5), 5)))
+        for _ in range(3):
+            r = rng.standard_normal(f.l.n)
+            assert f.apply(r).tobytes() == reference_substitution(f, r).tobytes()
 
-    @pytest.mark.parametrize("n", [7, 1000])
-    def test_identity_factor_is_one_exact_level(self, rng, n):
+    def test_one_row_factor(self, rng):
+        # a one-node Laplacian is zero and has no factor, so L is given
+        f = Ic0Factor(CsrMatrix.from_coo(1, [0], [0], [1.5]), 0.0, 0)
+        r = rng.standard_normal(1)
+        assert np.allclose(f.apply(r), reference_apply(f, r), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_identity_factor_is_exact(self, rng, n):
         f = identity_factor(n)
-        assert (f._sweep is not None) == (n >= ic0._SWEEP_MIN_WIDTH)
         v = rng.standard_normal(n)
         assert np.array_equal(f.apply(v), v)
 
-    @pytest.mark.parametrize("width", [0, 10**9])
-    def test_leaves_r_alone_and_repeats_its_bits(self, monkeypatch, rng, width):
-        monkeypatch.setattr(ic0, "_SWEEP_MIN_WIDTH", width)
+    def test_leaves_r_alone_and_repeats_its_bits(self, rng):
         f = ic0_factorize(build_laplacian(geometric_graph(800, 0.06)))
         r = rng.standard_normal(f.l.n)
         kept = r.copy()
@@ -374,31 +406,31 @@ class TestApply:
         for _ in range(3):
             assert f.apply(r).tobytes() == first.tobytes()
 
-    def test_factor_built_from_l_alone_applies_the_same(self, monkeypatch, rng):
-        monkeypatch.setattr(ic0, "_SWEEP_MIN_WIDTH", 0)
+    def test_factor_built_from_l_alone_applies_the_same(self, rng):
         f = ic0_factorize(build_laplacian(random_connected_graph(2000, 5000, seed=2)))
-        g = Ic0Factor(f.l, f.shift, f.attempts)  # finds the levels from L itself
-        assert g._sweep is not None
+        g = Ic0Factor(f.l, f.shift, f.attempts)
         r = rng.standard_normal(f.l.n)
         assert g.apply(r).tobytes() == f.apply(r).tobytes()
 
 
-def test_private_csr_matvec_adds_into_a_slice_view():
-    # _LevelSweep relies on this behaviour of a private scipy function:
-    # csr_matvec(n_row, n_col, ptr, col, val, x, y) adds rows ptr[0]..ptr[-1]
-    # of the CSR arrays times x into y, in place, with int64 indices and a
-    # row-pointer slice, and y a contiguous slice view of a larger array
-    dense = np.random.default_rng(5).standard_normal((6, 9))
-    dense[np.abs(dense) < 0.7] = 0.0
+def test_private_csr_matvec_substitutes_in_place():
+    # Ic0Factor.apply relies on this behaviour of a private scipy function:
+    # csr_matvec(n_row, n_col, ptr, col, val, x, y) sets y[i] += row i times
+    # x for i = 0, 1, ... in turn, reading x in place, so with x is y and a
+    # strictly lower matrix row i sees rows < i already updated
+    rng = np.random.default_rng(5)
+    dense = np.tril(rng.standard_normal((9, 9)), -1)
+    dense[np.abs(dense) < 0.5] = 0.0
     a = csr_array(dense)
     ptr, col = a.indptr.astype(np.int64), a.indices.astype(np.int64)
-    x = np.random.default_rng(6).standard_normal(9)
-    y = np.arange(12.0)
+    y = rng.standard_normal(9)
+    plain = y + a @ y  # every row reading y as it came in
     want = y.copy()
-    for row, at in zip(range(2, 5), range(7, 10)):
-        for k in range(ptr[row], ptr[row + 1]):
-            want[at] += a.data[k] * x[col[k]]
-    x_kept = x.copy()
-    csr_matvec(3, 9, ptr[2:6], col, a.data, x, y[7:10])
+    for i in range(9):
+        s = want[i]
+        for k in range(ptr[i], ptr[i + 1]):
+            s += a.data[k] * want[col[k]]
+        want[i] = s
+    assert not np.allclose(want, plain)
+    csr_matvec(9, 9, ptr, col, a.data, y, y)
     assert y.tobytes() == want.tobytes()
-    assert np.array_equal(x, x_kept)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from lapeig.generators import geometric_graph, random_connected_graph, star_graph
+from lapeig.graphs import build_laplacian
 from lapeig.sparse import CsrMatrix, MvpCounter, spmv
 
 
@@ -105,6 +107,17 @@ class TestSpmv:
                 want = dense @ x
                 scale = max(1.0, float(np.linalg.norm(want)))
                 assert np.linalg.norm(got - want) / scale <= 1e-13
+
+    @pytest.mark.parametrize("graph", [
+        lambda: geometric_graph(800, 0.06),
+        lambda: random_connected_graph(2000, extra_edges=5000, seed=4, weighted=True),
+        lambda: star_graph(300, weight=3.0),
+    ])
+    def test_bitwise_the_scipy_product(self, rng, graph):
+        a = build_laplacian(graph())
+        block = rng.standard_normal((a.n, 2))
+        for x in (block[:, 0].copy(), block[:, 1]):  # contiguous, then strided
+            assert spmv(a, x).tobytes() == (a.csr @ x).tobytes()
 
     def test_empty_rows_give_zero(self):
         a = CsrMatrix.from_coo(3, [0], [2], [5.0])
