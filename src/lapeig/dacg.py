@@ -4,67 +4,40 @@ Minimizes the Rayleigh quotient by preconditioned nonlinear CG over the
 complement of the kernel and of previously accepted eigenvectors.  No
 linear systems are solved: every iteration costs exactly one product
 with the operator (plus one per pair at start and acceptance).
+
+The loop keeps the iterate x at unit norm with ax = A x, and projects
+each search direction p onto the complement of x, so every step is one
+2x2 Rayleigh-Ritz problem on the orthonormal pair (x, p / ||p||),
+solved by dense_sym_eig.  Its eigenvector is oriented to keep x's sign:
+a flip would turn CG's previous direction against the iterate and slow
+convergence more than tenfold.  A direction whose projection leaves at
+most _PARALLEL_TOL of its norm has collapsed onto x.
 """
 
 import numpy as np
 
-from .kernels import GramSchmidtBreakdown, mgs_orthonormalize
+from .kernels import GramSchmidtBreakdown, dense_sym_eig, mgs_orthonormalize
 from .results import SolverError, fresh_accept, solver_result, solver_setup
 from .sparse import spmv
 
-_PARALLEL_TOL = 1e-12
+_PARALLEL_TOL = 1e-6
 _MAXIT_PER_PAIR = 20000
 
 
-def _is_parallel(x, p):
-    bxx = float(x @ x)
-    bpp = float(p @ p)
-    bxp = float(x @ p)
-    return bpp == 0.0 or bxx * bpp - bxp * bxp <= _PARALLEL_TOL * bxx * bpp
-
-
 def _plane_minimize(x, ax, p, ap):
-    """Smallest Rayleigh quotient over span{x, p}.
+    """Smallest Rayleigh quotient over span{x, p}: a 2x2 Rayleigh-Ritz step.
 
-    Solves the 2x2 generalized pencil of the plane after orthogonalizing
-    its basis, which keeps the arithmetic well conditioned even when p
-    is almost parallel to x.  Returns (mu, alpha, beta) with the
-    quotient mu attained at alpha * x + beta * p.  Raises on a
-    degenerate plane.
+    x must be a unit vector and p a nonzero vector orthogonal to it, so
+    that x and p / ||p|| are an orthonormal basis of the plane; ax and
+    ap are their images.  Returns (mu, alpha, beta) with the quotient mu
+    attained at the unit vector alpha * x + beta * p, alpha >= 0.
     """
-    sx = float(np.linalg.norm(x))
-    pnorm = float(np.linalg.norm(p))
-    if sx == 0.0 or pnorm == 0.0:
-        raise ValueError("degenerate plane: direction is parallel to the iterate")
-    xb = x / sx
-    axb = ax / sx
-    cproj = float(xb @ p)
-    pt = p - cproj * xb
-    spt = float(np.linalg.norm(pt))
-    if spt <= np.sqrt(_PARALLEL_TOL) * pnorm:
-        raise ValueError("degenerate plane: direction is parallel to the iterate")
-    pb = pt / spt
-    apb = (ap - cproj * axb) / spt
-    a11 = float(xb @ axb)
-    a22 = float(pb @ apb)
-    a12 = 0.5 * (float(xb @ apb) + float(pb @ axb))
-    half = 0.5 * (a11 + a22)
-    rad = float(np.hypot(0.5 * (a11 - a22), a12))
-    mu = half - rad
-    r1 = (a11 - mu, a12)
-    r2 = (a12, a22 - mu)
-    row = r1 if np.hypot(*r1) >= np.hypot(*r2) else r2
-    cb, cp = row[1], -row[0]
-    nrm = np.hypot(cb, cp)
-    if nrm == 0.0:
-        cb, cp, nrm = 1.0, 0.0, 1.0
-    cb /= nrm
-    cp /= nrm
-    # map coefficients from the orthonormal plane basis back to (x, p)
-    alpha = cb / sx - cp * cproj / (spt * sx)
-    beta = cp / spt
-    scale = np.hypot(alpha, beta)
-    return float(mu), alpha / scale, beta / scale
+    pn = float(np.linalg.norm(p))
+    a12 = 0.5 * (float(x @ ap) + float(p @ ax)) / pn
+    vals, vecs = dense_sym_eig([[float(x @ ax), a12], [a12, float(p @ ap) / pn**2]])
+    # LAPACK's sign is arbitrary; keep x's (see the module docstring)
+    c = -vecs[:, 0] if vecs[0, 0] < 0 else vecs[:, 0]
+    return float(vals[0]), float(c[0]), float(c[1]) / pn
 
 
 def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
@@ -74,7 +47,8 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
     Each accepted iterate is normalized, verified with a fresh product
     against the per-pair test ||A x - q x|| / q <= delta, and joined to
     the deflation set for subsequent pairs.  Raises SolverError when a
-    pair's start vector lies in the deflated span or the pair exceeds
+    pair's start vector lies in the deflated span, when no search
+    direction survives the collapse test, or when the pair exceeds
     _MAXIT_PER_PAIR iterations.
     """
     counter, guard, f, t0 = solver_setup(a, neig, counter, null_basis, f, neig, seed=seed,
@@ -93,7 +67,6 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
                               "deflated subspace") from exc
         ax = spmv(a, x, counter)
         q = float(x @ ax)
-        grad = 2.0 * (ax - q * x)
         p = None
         its = 0
         z_prev = None
@@ -102,7 +75,8 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
         accepted = None
         res = np.inf
         while its < _MAXIT_PER_PAIR:
-            res = float(np.linalg.norm(ax - q * x))
+            r = ax - q * x
+            res = float(np.linalg.norm(r))
             if q > 0 and res / q <= delta:
                 # candidate passes on cached data; confirm with a fresh product
                 xc, _ = mgs_orthonormalize(x, guard)
@@ -110,9 +84,9 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
                 if ok:
                     accepted = (theta, xc, relres)
                     break
-                x, ax = xc, w
-                q = theta
-                grad = 2.0 * (w - theta * xc)
+                x, ax, q = xc, w, theta
+                r = ax - q * x
+            grad = 2.0 * r
             z = guard.project_out(f.apply(grad))
             if g_prev is None or since_reset >= reset_period:
                 beta = 0.0
@@ -124,21 +98,21 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
                     beta = 0.0
             # z and the previous direction are both in the complement already
             p = -z + beta * p if (beta != 0.0 and p is not None) else -z
-            p -= (x @ p) * x
-            # a collapsed direction falls back to steepest descent, then random
+            # a direction that collapses onto x falls back to steepest
+            # descent, then to at most two random directions
             retries = 0
-            while _is_parallel(x, p):
+            while True:
+                before = float(np.linalg.norm(p))
+                p -= (x @ p) * x
+                if np.linalg.norm(p) > _PARALLEL_TOL * before:
+                    break
                 retries += 1
-                if retries == 1:
-                    p = guard.project_out(-z)
-                elif retries <= 3:
-                    p = guard.project_out(rng.standard_normal(a.n))
-                else:
+                if retries > 3:
                     raise SolverError(
                         f"pair {pair_idx}: no usable search direction at "
                         f"iteration {its}"
                     )
-                p -= (x @ p) * x
+                p = guard.project_out(-z if retries == 1 else rng.standard_normal(a.n))
             ap = spmv(a, p, counter, "inner")
             mu, al, be = _plane_minimize(x, ax, p, ap)
             x_new = al * x + be * p
@@ -155,7 +129,6 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
             g_prev = grad
             z_prev = z
             x, ax, q = x_new, ax_new, q_new
-            grad = 2.0 * (ax_new - q_new * x_new)
             its += 1
             since_reset += 1
         if accepted is None:

@@ -2,8 +2,9 @@
 
 Contains Gram-Schmidt against a DeflationBasis with conditional
 reorthogonalization and the dense symmetric eigensolver for projected
-matrices (LAPACK through numpy.linalg.eigh).  Its dimension is capped
-at DENSE_EIG_MAX_DIM, which bounds JD's search space and IRLM's basis.
+matrices (LAPACK through numpy.linalg.eigh): JD's Rayleigh-Ritz step and
+DACG's 2x2 plane.  Its dimension is capped at DENSE_EIG_MAX_DIM, which
+bounds JD's search space and IRLM's basis.
 """
 
 import numpy as np

@@ -25,7 +25,7 @@ from lapeig.generators import path_graph, random_connected_graph
 from lapeig.graphs import build_laplacian
 from lapeig.ic0 import ic0_factorize
 from lapeig.irlm import ncv_for
-from lapeig.results import EigenPairSet, SolverReport
+from lapeig.results import EigenPairSet, SolverError, SolverReport
 from tests.conftest import dense_positive_pairs
 from tests.test_solver_frame import LEDGER_KEYS
 
@@ -36,6 +36,10 @@ def _write_p3(tmp_path):
     path = tmp_path / "p3.txt"
     path.write_text(P3_FILE)
     return path
+
+
+def _stall(*args, **kwargs):
+    raise SolverError("forced stall for the test")
 
 
 class TestRunGraph:
@@ -113,12 +117,7 @@ class TestRunGraph:
         assert reports[0].eigenvalues[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_solver_failure_is_isolated(self, monkeypatch):
-        from lapeig.results import SolverError
-
-        def boom(*args, **kwargs):
-            raise SolverError("forced stall for the test")
-
-        monkeypatch.setitem(lapeig.bench.SOLVERS, "jd", boom)
+        monkeypatch.setitem(lapeig.bench.SOLVERS, "jd", _stall)
         edges = random_connected_graph(30, extra_edges=25, seed=8)
         reports = run_graph(edges, RunConfig(neig=2))
         by_name = {r.solver: r for r in reports}
@@ -469,6 +468,44 @@ class TestCliMain:
         rows_mm = parse_report_csv(out_mm.encode())
         assert rows_el[0].mvp == rows_mm[0].mvp
         assert rows_el[0].inner_its_total == rows_mm[0].inner_its_total
+
+    def test_solver_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(lapeig.bench.SOLVERS, "jd", _stall)
+        code = main(["--input", str(_write_p3(tmp_path)), "--neig", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        rows = {line.split()[0]: line.split()[-1]
+                for line in captured.out.splitlines()[2:]}
+        assert rows == {"dacg": "true", "jd": "false", "irlm": "true"}
+        assert "lapeig-bench: jd failed: forced stall for the test\n" in captured.err
+
+    def test_false_convergence_claim_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a unit vector that is no eigenvector, reported as converged
+        def liar(a, neig, f=None, counter=None):
+            u = np.zeros(a.n)
+            u[:2] = [1.0, -1.0]
+            u /= np.linalg.norm(u)
+            pairs = EigenPairSet([1.0], u.reshape(-1, 1), [0.0])
+            return pairs, SolverReport("jd", 1, 1e-6, 0, 0, 0, 0.0, True)
+
+        monkeypatch.setitem(lapeig.bench.SOLVERS, "jd", liar)
+        code = main(["--input", str(_write_p3(tmp_path)), "--solver", "jd", "--neig", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("lapeig-bench: jd claimed convergence but "
+                                       "recomputed residuals are ")
+
+    def test_spectrum_not_written_without_a_converged_run(self, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.setitem(lapeig.bench.SOLVERS, "jd", _stall)
+        spec_out = tmp_path / "spec.txt"
+        code = main(["--input", str(_write_p3(tmp_path)), "--solver", "jd",
+                     "--neig", "1", "--emit-spectrum", str(spec_out)])
+        assert code == 2
+        assert "lapeig-bench: no converged run; spectrum not written\n" in \
+            capsys.readouterr().err
+        assert not spec_out.exists()
 
     def test_console_script_runs_in_subprocess(self, tmp_path):
         path = _write_p3(tmp_path)

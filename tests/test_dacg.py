@@ -12,9 +12,9 @@ from lapeig.generators import (
     star_graph,
 )
 from lapeig.graphs import build_laplacian
-from lapeig.ic0 import identity_factor
+from lapeig.ic0 import ic0_factorize, identity_factor
 from lapeig.pcg import DeflationBasis
-from lapeig.results import SolverError, rayleigh_residuals
+from lapeig.results import SolverError, fresh_accept, rayleigh_residuals
 from lapeig.sparse import CsrMatrix, MvpCounter, spmv
 from tests.conftest import dense_positive_pairs
 
@@ -47,23 +47,34 @@ class TestPlaneMinimize:
         assert np.max(np.abs(np.abs(combo) - 1.0 / np.sqrt(3.0))) < 1e-12
 
     def test_minimum_no_worse_than_either_axis(self):
+        # the step takes a unit x and a direction orthogonal to it
         edges = random_connected_graph(20, extra_edges=15, seed=5)
         a = build_laplacian(edges)
         rng = np.random.default_rng(3)
         for _ in range(10):
             x = rng.standard_normal(a.n)
             p = rng.standard_normal(a.n)
+            x /= np.linalg.norm(x)
+            p -= (x @ p) * x
             mu, _, _ = _plane_minimize(x, spmv(a, x), p, spmv(a, p))
-            qx = (x @ spmv(a, x)) / (x @ x)
+            qx = x @ spmv(a, x)
             qp = (p @ spmv(a, p)) / (p @ p)
             assert mu <= min(qx, qp) + 1e-12
 
-    def test_rejects_parallel_direction(self):
-        a = build_laplacian(path_graph(3))
-        x = np.array([0.0, 1.0, 0.0])
-        ax = spmv(a, x)
-        with pytest.raises(ValueError, match="parallel"):
-            _plane_minimize(x, ax, 2.0 * x, 2.0 * ax)
+    def test_keeps_the_sign_of_the_iterate(self):
+        # LAPACK may return either sign; the step must never flip x
+        edges = random_connected_graph(20, extra_edges=15, seed=5)
+        a = build_laplacian(edges)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            x = rng.standard_normal(a.n)
+            p = rng.standard_normal(a.n)
+            x /= np.linalg.norm(x)
+            p -= (x @ p) * x
+            for p in (p, -p):
+                _, alpha, beta = _plane_minimize(x, spmv(a, x), p, spmv(a, p))
+                assert alpha >= 0.0
+                assert np.linalg.norm(alpha * x + beta * p) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDacgSmallest:
@@ -128,6 +139,69 @@ class TestDacgSmallest:
         monkeypatch.setattr(lapeig.dacg, "_MAXIT_PER_PAIR", 2)
         with pytest.raises(SolverError, match="pair 0: iteration cap 2 reached"):
             dacg_smallest(a, 2, delta=1e-10, seed=0)
+
+    def test_candidate_failing_its_fresh_product_carries_on(self, monkeypatch):
+        # the first candidate is rejected after its verify product; DACG
+        # continues from the fresh (xc, A xc) and accepts the next one
+        edges = random_connected_graph(50, extra_edges=60, seed=7)
+        oracle, a = dense_positive_pairs(edges, neig=3)
+        calls = []
+
+        def reject_once(a, u, delta, counter):
+            ok, theta, relres, w = fresh_accept(a, u, delta, counter)
+            calls.append(ok)
+            return ok and len(calls) > 1, theta, relres, w
+
+        monkeypatch.setattr(lapeig.dacg, "fresh_accept", reject_once)
+        pairs, report = dacg_smallest(a, 3, delta=1e-6, seed=0)
+        assert calls[0]
+        assert report.config["mvp_verify"] == 3 + 1
+        assert np.max(np.abs(pairs.values - oracle.values) / oracle.values) < 1e-5
+
+    def test_collapsed_direction_falls_back_to_a_random_one(self, monkeypatch):
+        # the first preconditioned gradient is the iterate itself, so both
+        # it and the steepest descent fallback collapse onto x; one random
+        # direction is drawn and the run still converges
+        edges = random_connected_graph(30, extra_edges=25, seed=8)
+        oracle, a = dense_positive_pairs(edges, neig=1)
+        x0 = np.random.default_rng(99).standard_normal(a.n)
+        x0 -= x0.mean()
+        x0 /= np.linalg.norm(x0)
+
+        class FirstApplyIsIterate:
+            def __init__(self, f):
+                self.f, self.calls = f, 0
+
+            def apply(self, r):
+                self.calls += 1
+                return x0.copy() if self.calls == 1 else self.f.apply(r)
+
+        draws = []
+        default_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, n):
+                draws.append(n)
+                return self.rng.standard_normal(n)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        f = FirstApplyIsIterate(ic0_factorize(a))
+        pairs, _ = dacg_smallest(a, 1, delta=1e-8, f=f, x0=x0, seed=0)
+        assert f.calls > 1
+        assert draws == [a.n]
+        assert pairs.values[0] == pytest.approx(oracle.values[0], rel=1e-7)
+
+    def test_no_usable_direction_raises(self):
+        # the deflated complement of P3 is the iterate's own line, so every
+        # direction collapses, and a delta below roundoff forces a step
+        a = build_laplacian(path_graph(3))
+        guard = DeflationBasis(np.column_stack([np.full(3, 3 ** -0.5), P3_V3]))
+        with pytest.raises(SolverError,
+                           match="^pair 0: no usable search direction at iteration 0$"):
+            dacg_smallest(a, 1, delta=1e-300, f=identity_factor(3), null_basis=guard)
 
     def test_smaller_relative_gap_needs_more_iterations(self):
         # Diagonal spectrum 0, 1, 1 + g, 3, 4, ... with a shrinking gap

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import lapeig.jd
 import lapeig.results
 from lapeig.generators import (
     complete_graph,
@@ -271,6 +272,32 @@ class TestJdSmallest:
         thetas.append(theta)
         diffs = np.diff(np.asarray(thetas))
         assert np.all(diffs <= 1e-12)
+
+    def test_start_in_the_kernel_retries_at_random(self):
+        # the constant start breaks down against the kernel guard; the retry
+        # is the seed's first draw, which a run without v0 starts from
+        edges = random_connected_graph(40, extra_edges=50, seed=3)
+        oracle, a = dense_positive_pairs(edges, neig=1)
+        p1, r1 = jd_smallest(a, 1, v0=np.ones(a.n), seed=2)
+        p2, r2 = jd_smallest(a, 1, seed=2)
+        assert np.array_equal(p1.vectors, p2.vectors)
+        assert r1.mvp == r2.mvp
+        assert p1.values[0] == pytest.approx(oracle.values[0], rel=1e-6)
+
+    def test_exhausting_the_whole_space_raises(self):
+        # on P4 the kernel and three basis vectors span everything; a
+        # tolerance below roundoff is never met
+        a = build_laplacian(path_graph(4))
+        with pytest.raises(SolverError, match="^pair 0: exhausted the whole space at "
+                                              r"residual \S+ \(target \S+\)$"):
+            jd_smallest(a, 1, delta=1e-300, m_min=3, m_max=4)
+
+    def test_stagnation_raises(self, monkeypatch):
+        monkeypatch.setattr(lapeig.jd, "_STAGNATION_WINDOW", 2)
+        a = build_laplacian(random_connected_graph(40, extra_edges=50, seed=3))
+        with pytest.raises(SolverError, match="^pair 0: stagnated for 3 outer iterations "
+                                              r"at residual \S+ \(target \S+\)$"):
+            jd_smallest(a, 1, delta=1e-300)
 
     def test_rejects_more_pairs_than_exist(self):
         a = build_laplacian(path_graph(3))
