@@ -127,6 +127,7 @@ def run_graph(edges, config):
         neig_effective=neig,
         factor_seconds=factor_seconds,
         precond_shift=f.shift,
+        precond_attempts=f.attempts,
     )
 
     reports = []

@@ -11,7 +11,10 @@ each search direction p onto the complement of x, so every step is one
 solved by dense_sym_eig.  Its eigenvector is oriented to keep x's sign:
 a flip would turn CG's previous direction against the iterate and slow
 convergence more than tenfold.  A direction whose projection leaves at
-most _PARALLEL_TOL of its norm has collapsed onto x.
+most _PARALLEL_TOL of its norm has collapsed onto x.  Each new iterate
+is projected off the kernel, which costs no product since A maps the
+kernel to zero; without it, roundoff lets the iterate drift into the
+kernel on badly scaled graphs.
 """
 
 import numpy as np
@@ -53,6 +56,7 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
     """
     counter, guard, f, t0 = solver_setup(a, neig, counter, null_basis, f, neig, seed=seed,
                                          maxit_per_pair=_MAXIT_PER_PAIR)
+    kernel = guard.prefix(guard.k)  # before any pair is locked
     rng = np.random.default_rng(seed)
     reset_period = max(1, a.n // 10)
 
@@ -115,7 +119,7 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
                 p = guard.project_out(-z if retries == 1 else rng.standard_normal(a.n))
             ap = spmv(a, p, counter, "inner")
             mu, al, be = _plane_minimize(x, ax, p, ap)
-            x_new = al * x + be * p
+            x_new = kernel.project_out(al * x + be * p)
             ax_new = al * ax + be * ap
             nrm = float(np.linalg.norm(x_new))
             x_new /= nrm

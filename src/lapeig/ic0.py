@@ -15,7 +15,11 @@ the entries of row i, whose columns all have lower levels than i.
 Entry (i, k) needs row k's pivot and the entries (i, p) and (k, p) of
 its triangles, whose columns p have lower levels than k.  So level r
 takes two steps: the pivots of the rows at level r, then the entries
-whose column is at level r.
+whose column is at level r.  Rows and entries keep A's own numbering;
+a level is four index arrays into it, each in increasing index order:
+its rows, the entries of those rows (for the pivot updates), the
+entries whose column is at level r, and their triangle updates, grouped
+by entry in increasing p.
 
 The numeric phase runs once per shift alpha and walks the levels.  An
 entry starts at a_ik, has its triangle products l_ip * l_kp subtracted
@@ -99,9 +103,7 @@ class Ic0Factor:
 def _csr_by_row(n, row, col, val):
     """CSR arrays (ptr, col, val) of the entries (row, col, val), each row
     keeping the order the entries came in."""
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
-    order = _stable_order(row)
+    order, ptr = _grouped(row, n)
     return ptr, col[order], val[order]
 
 
@@ -112,28 +114,27 @@ def _ranges(starts, counts):
     return np.repeat(starts + counts - ends, counts) + np.arange(total)
 
 
-def _stable_order(keys):
-    """np.argsort(keys, kind="stable") for nonnegative integer keys.
+def _grouped(keys, size):
+    """Indices of keys grouped by key, and the start of each group.
 
-    Sorting the distinct values keys * size + index is several times
-    faster than numpy's stable argsort on int64.
+    For integer keys in [0, size), returns (order, ptr): order is
+    np.argsort(keys, kind="stable"), so indices keep their order within
+    a group, and group g is order[ptr[g]:ptr[g + 1]].  Sorting the
+    distinct values keys * len(keys) + index is several times faster
+    than numpy's stable argsort on int64.
     """
-    size = keys.size
-    return np.sort(keys * size + np.arange(size)) % size
-
-
-def _bounds(keys, nlev):
-    """Start of each level's run in keys sorted by level, as a list."""
-    ptr = np.zeros(nlev + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=nlev), out=ptr[1:])
-    return ptr.tolist()
+    m = keys.size
+    order = np.sort(keys * m + np.arange(m)) % m
+    ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=size), out=ptr[1:])
+    return order, ptr
 
 
 def _levels(n, ptr, row, col):
     """Level of each row: 1 + the highest level of its lower neighbours."""
-    users = row[_stable_order(col)]  # rows holding column k, by k
-    ucount = np.bincount(col, minlength=n)
-    ustart = ucount.cumsum() - ucount
+    order, ustart = _grouped(col, n)
+    users = row[order]  # rows holding column k, by k
+    ucount = np.diff(ustart)
     waiting = np.diff(ptr)  # lower neighbours without a level yet
     level = np.empty(n, dtype=np.int64)
     front = np.flatnonzero(waiting == 0)
@@ -194,70 +195,50 @@ class _Plan:
 
         level, nlev = _levels(n, ptr, row, col)
         self.nlev = nlev
-        # pivots, stored in level order
-        self.rorder = _stable_order(level)
-        rpos = np.empty(n, dtype=np.int64)
-        rpos[self.rorder] = np.arange(n)
-        self.rptr = _bounds(level, nlev)
-        # entries, stored in order of their column's level
+        self.start = a.values[lower]
+        # each level's rows, and their entries for the pivot updates
+        self.rows, rptr = _grouped(level, nlev)
+        self.square, dptr = _grouped(level[row], nlev)
+        self.pivot = row[self.square]
+        # entries whose column is at the level, and their triangle updates
         step = level[col]
-        eorder = _stable_order(step)
-        epos = np.empty(m, dtype=np.int64)
-        epos[eorder] = np.arange(m)
-        self.eptr = _bounds(step, nlev)
-        self.start = a.values[lower][eorder]
-        self.pivot_of = rpos[col[eorder]]
-        # triangle updates, in step order and grouped by entry in increasing p
-        tstep = step[e]
-        torder = _stable_order(tstep)
-        self.tptr = _bounds(tstep, nlev)
-        self.target = epos[e[torder]]
-        self.ip = epos[ip[torder]]
-        self.kp = epos[kp[torder]]
-        del e, ip, kp, tstep, torder, step
-        # pivot updates: the entries of each level's rows in (row, col) order
-        in_row = np.diff(ptr)
-        dorder = _ranges(ptr[self.rorder], in_row[self.rorder])
-        self.dptr = _bounds(level[row], nlev)
-        self.square = epos[dorder]
-        self.pivot = rpos[row[dorder]]
-        del dorder
+        self.entries, eptr = _grouped(step, nlev)
+        self.pivot_of = col[self.entries]
+        torder, tptr = _grouped(step[e], nlev)
+        self.target, self.ip, self.kp = e[torder], ip[torder], kp[torder]
+        del e, ip, kp, step, torder
+        self.rptr, self.dptr, self.eptr, self.tptr = (
+            p.tolist() for p in (rptr, dptr, eptr, tptr))
 
         # L's pattern is A's lower triangle with the diagonal last in each row
         self.n = n
         self.lptr = ptr + np.arange(n + 1)
-        diag_at = self.lptr[1:] - 1
-        off_at = np.arange(m) + row
-        self.lcol = np.empty(m + n, dtype=np.int64)
-        self.lcol[off_at] = col
-        self.lcol[diag_at] = np.arange(n)
-        self.entry_at = off_at[eorder]
-        self.pivot_at = diag_at[self.rorder]
+        self.lcol = np.insert(col, ptr[1:], np.arange(n))
+        self.off_at = np.arange(m) + row
+        self.diag_at = self.lptr[1:] - 1
 
     def factor(self, diag, alpha):
         """L for A + alpha * diag(A), or None if a pivot fails."""
-        d = diag[self.rorder] * (1.0 + alpha)
+        d = diag * (1.0 + alpha)
         floor = _PIVOT_FLOOR * np.abs(d)
         v = self.start.copy()
         for r in range(self.nlev):
             lo, hi = self.dptr[r], self.dptr[r + 1]
-            if lo < hi:
-                x = v[self.square[lo:hi]]
-                np.subtract.at(d, self.pivot[lo:hi], x * x)
-            lo, hi = self.rptr[r], self.rptr[r + 1]
-            dr = d[lo:hi]
+            x = v[self.square[lo:hi]]
+            np.subtract.at(d, self.pivot[lo:hi], x * x)
+            rows = self.rows[self.rptr[r]:self.rptr[r + 1]]
+            dr = d[rows]
             # floor >= 0, so this also demands dr > 0, and NaN fails it
-            if not (dr > floor[lo:hi]).all():
+            if not (dr > floor[rows]).all():
                 return None
-            np.sqrt(dr, out=dr)
+            d[rows] = np.sqrt(dr)
             lo, hi = self.tptr[r], self.tptr[r + 1]
-            if lo < hi:
-                np.subtract.at(v, self.target[lo:hi], v[self.ip[lo:hi]] * v[self.kp[lo:hi]])
+            np.subtract.at(v, self.target[lo:hi], v[self.ip[lo:hi]] * v[self.kp[lo:hi]])
             lo, hi = self.eptr[r], self.eptr[r + 1]
-            v[lo:hi] /= d[self.pivot_of[lo:hi]]
+            v[self.entries[lo:hi]] /= d[self.pivot_of[lo:hi]]
         vals = np.empty(self.lcol.size)
-        vals[self.entry_at] = v
-        vals[self.pivot_at] = d
+        vals[self.off_at] = v
+        vals[self.diag_at] = d
         return CsrMatrix(self.n, self.lptr, self.lcol, vals)
 
 

@@ -208,9 +208,11 @@ class TestRunGraph:
     def test_shared_factorization_is_echoed(self):
         edges = random_connected_graph(30, extra_edges=25, seed=8)
         reports = run_graph(edges, RunConfig(neig=2))
+        attempts = ic0_factorize(build_laplacian(edges)).attempts
         for r in reports:
             assert "factor_seconds" in r.config
             assert r.config["precond_shift"] >= 0.0
+            assert r.config["precond_attempts"] == attempts
 
     def test_solver_settings_win_over_the_echo(self):
         edges = random_connected_graph(60, 80, seed=2)

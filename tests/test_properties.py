@@ -8,7 +8,8 @@ with a small example budget, so every run draws the same cases; the
 wide profile widens the search.  Explicit examples pin three solver
 defects that these tests found, one per solver, as expected failures;
 each fails loudly once its defect is mended.  IRLM's other examples are
-cases its earlier hand-written Lanczos failed.
+cases its earlier hand-written Lanczos failed, and DACG's weighted K7 is
+a case it failed before each step projected its iterate off the kernel.
 """
 
 import os
@@ -61,6 +62,12 @@ TWO_CLASS_STAR = EdgeList(7, [0] * 6, [1, 2, 3, 4, 5, 6], [1.0, 1.0, 1.0, 10.0, 
 # a six-cycle with weights from 1 to 1e5 (condition number 8.7e4)
 GRADED_CYCLE = EdgeList(6, [0, 0, 1, 2, 3, 4], [1, 5, 2, 3, 4, 5],
                         [1e5, 10.0, 10.0, 10.0, 1.0, 1.0])
+# the complete graph on 7 nodes with weights from 1e-6 to 1e-3, in
+# complete_graph(7)'s edge order, on which DACG's iterate drifts into the
+# kernel unless each step projects it off
+WEIGHTED_K7 = EdgeList(7, complete_graph(7).i, complete_graph(7).j,
+                       [1e-4, 1e-6, 1e-4, 1e-3, 1e-5, 1e-6, 1e-6, 1e-3, 1e-4, 1e-3, 1e-5,
+                        1e-3, 1e-3, 1e-3, 1e-6, 1e-4, 1e-4, 1e-6, 1e-5, 1e-6, 1e-5])
 
 
 @st.composite
@@ -106,6 +113,7 @@ def _check_against_oracle(a, pairs, neig):
 
 @PROFILE
 @given(case=weighted_graphs(), seed=st.integers(0, 2**16))
+@example(case=(WEIGHTED_K7, 4), seed=0)
 @example(case=(GRADED_CYCLE, 2), seed=1908).xfail(
     raises=SolverError,
     reason="the second pair stalls at residual 1.5e-6 against the first, "
