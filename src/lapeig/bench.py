@@ -25,7 +25,7 @@ from .graphs import (
 from .ic0 import ic0_factorize
 from .irlm import irlm_smallest
 from .jd import jd_smallest
-from .results import SolverError, SolverReport, rayleigh_residuals, spent
+from .results import SolverError, SolverReport, rayleigh_residuals, run_report
 from .sparse import MvpCounter
 
 # the most verified vectors may miss orthonormality or reach into the kernel by
@@ -133,36 +133,23 @@ def run_graph(edges, config):
     reports = []
     for name in names:
         counter = MvpCounter()
-        t0 = time.perf_counter()
         try:
             pairs, report = _run_one(name, a, neig, f, config, counter)
         except SolverError as err:
-            fields, ledger = spent(counter)
-            reports.append(SolverReport(
-                solver=name,
-                neig=neig,
-                delta=config.delta,
-                **fields,
-                wall_seconds=time.perf_counter() - t0,
-                converged=False,
-                config={**echo, **ledger, "error": str(err)},
-            ))
-            continue
-        report.wall_seconds = time.perf_counter() - t0
-
-        # fresh products on a throwaway counter, independent of the
-        # solver's own exit test
-        thetas, resids = rayleigh_residuals(a, pairs.positive()[1], MvpCounter())
-        gram, overlap = pairs.gram_defect(), pairs.kernel_overlap()
-        if (len(thetas) != neig or np.any(resids > config.delta)
-                or max(gram, overlap) > VECTOR_TOL):
-            raise RuntimeError(
-                f"{name} claimed convergence but recomputed residuals are "
-                f"{resids.tolist()} against delta={config.delta}, Gram defect "
-                f"{gram:.3e} and kernel overlap {overlap:.3e} against {VECTOR_TOL}"
-            )
-        report.converged = True
-        report.per_pair_residuals = [float(r) for r in resids]
+            report = run_report(name, neig, config.delta, counter, error=str(err))
+        else:
+            # fresh products on a throwaway counter, independent of the
+            # solver's own exit test
+            thetas, resids = rayleigh_residuals(a, pairs.positive()[1], MvpCounter())
+            gram, overlap = pairs.gram_defect(), pairs.kernel_overlap()
+            if (len(thetas) != neig or np.any(resids > config.delta)
+                    or max(gram, overlap) > VECTOR_TOL):
+                raise RuntimeError(
+                    f"{name} claimed convergence but recomputed residuals are "
+                    f"{resids.tolist()} against delta={config.delta}, Gram defect "
+                    f"{gram:.3e} and kernel overlap {overlap:.3e} against {VECTOR_TOL}"
+                )
+            report.per_pair_residuals = [float(r) for r in resids]
         # the solver's effective settings win over the raw RunConfig echo
         report.config = {**echo, **report.config}
         reports.append(report)

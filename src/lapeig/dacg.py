@@ -54,8 +54,8 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
     direction survives the collapse test, or when the pair exceeds
     _MAXIT_PER_PAIR iterations.
     """
-    counter, guard, f, t0 = solver_setup(a, neig, counter, null_basis, f, neig, seed=seed,
-                                         maxit_per_pair=_MAXIT_PER_PAIR)
+    counter, guard, f = solver_setup(a, neig, counter, null_basis, f, neig, delta=delta,
+                                     seed=seed, maxit_per_pair=_MAXIT_PER_PAIR)
     kernel = guard.prefix(guard.k)  # before any pair is locked
     rng = np.random.default_rng(seed)
     reset_period = max(1, a.n // 10)
@@ -148,5 +148,5 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
         per_pair.append(its)
         guard.push(u)
 
-    return solver_result("dacg", delta, counter, t0, vals, vecs, resids,
+    return solver_result("dacg", delta, counter, vals, vecs, resids,
                          iterations_per_pair=per_pair)

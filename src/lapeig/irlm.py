@@ -5,7 +5,9 @@ scipy.sparse.linalg.eigsh on the pseudo-inverse of A, which a deflated
 PCG solve applies, so the smallest positive eigenvalues of A become the
 largest of the operator.  ARPACK judges its Ritz pairs at the inner
 tolerance delta_pcg, the accuracy the inexact inverse can resolve; each
-pair it returns is then judged once against A with a fresh product.
+pair it returns is then judged against A with a fresh product.  A pair
+that fails is given one inverse-iteration step, orthonormalized against
+the kernel and the pairs accepted before it, and judged once more.
 ARPACK does not count its restarts, so the restarts tally stays 0, and a
 restart shows as more than ncv + 1 solves.
 """
@@ -16,7 +18,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .kernels import DENSE_EIG_MAX_DIM, GramSchmidtBreakdown, mgs_orthonormalize
-from .pcg import pcg_solve
+from .pcg import DeflationBasis, pcg_solve
 from .results import SolverError, fresh_accept, solver_result, solver_setup
 
 # PCG iterations per inverse-operator solve, and ARPACK restarts per run
@@ -60,8 +62,8 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
     # a kernel column: capped at n - k it can miss a copy of a repeated value
     ncv_eff = ncv_for(neig) if ncv is None else int(ncv)
     ncv_eff = min(max(ncv_eff, neig + 2), a.n, DENSE_EIG_MAX_DIM)
-    counter, null_basis, f, t0 = solver_setup(
-        a, neig, counter, null_basis, f, 0, seed=seed, ncv=ncv_eff,
+    counter, null_basis, f = solver_setup(
+        a, neig, counter, null_basis, f, 0, delta=delta, seed=seed, ncv=ncv_eff,
         delta_pcg=delta_pcg, maxit_inner=_MAXIT_INNER)
     rng = np.random.default_rng(seed)
     if v0 is None:
@@ -99,7 +101,19 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
         u /= np.linalg.norm(u)
         ok, theta, relres, _ = fresh_accept(a, u, delta, counter)
         if not ok:
+            # one inverse-iteration step off the kernel and the pairs accepted
+            # so far; the basis is built here only, so success allocates nothing
+            locked = DeflationBasis(null_basis.columns, null_basis.k + neig)
+            for _, v, _ in accepted:
+                locked.push(v)
+            try:
+                u, _ = mgs_orthonormalize(apply_inverse(u), locked)
+            except GramSchmidtBreakdown as exc:
+                raise SolverError(f"pair {pair}: Ritz vector lies in the span of "
+                                  "the pairs accepted before it") from exc
+            ok, theta, relres, _ = fresh_accept(a, u, delta, counter)
+        if not ok:
             raise SolverError(f"pair {pair}: Ritz vector has residual {relres:.3e} "
                               f"against delta {delta:.1e}")
         accepted.append((theta, u, relres))
-    return solver_result("irlm", delta, counter, t0, *zip(*accepted))
+    return solver_result("irlm", delta, counter, *zip(*accepted))

@@ -123,9 +123,9 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
     current Ritz vector.
     """
     _check_bounds(m_min, m_max)  # before solver_setup factors IC(0) and sizes the guard
-    counter, guard, f, t0 = solver_setup(
-        a, neig, counter, null_basis, f, neig + m_max, seed=seed, delta_pcg=delta_pcg,
-        itmax_inner=itmax_inner, m_min=m_min, m_max=m_max)
+    counter, guard, f = solver_setup(
+        a, neig, counter, null_basis, f, neig + m_max, delta=delta, seed=seed,
+        delta_pcg=delta_pcg, itmax_inner=itmax_inner, m_min=m_min, m_max=m_max)
     rng = np.random.default_rng(seed)
 
     locked_vals, locked_vecs, locked_res = [], [], []
@@ -210,4 +210,4 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
         cand = jd_correction_solve(a, theta, guard.prefix(guard.k + 1), r, f,
                                    delta_pcg, itmax_inner, counter)
 
-    return solver_result("jd", delta, counter, t0, locked_vals, locked_vecs, locked_res)
+    return solver_result("jd", delta, counter, locked_vals, locked_vecs, locked_res)

@@ -6,6 +6,7 @@ test of a candidate pair with one fresh product, and the assembly of
 the sorted pairs and the report.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -67,7 +68,7 @@ class EigenPairSet:
 class SolverReport:
     """Cost and convergence accounting for one solver run.
 
-    The cost fields come from the run's MvpCounter tallies (see spent),
+    The cost fields come from the run's MvpCounter tallies (see run_report),
     so mvp == mvp_outer + inner_its_total + mvp_verify by construction;
     config holds mvp_outer, mvp_verify, restarts and seed, then the
     solver's own settings, then what the run found.
@@ -86,17 +87,19 @@ class SolverReport:
     config: dict = field(default_factory=dict)
 
 
-def solver_setup(a, neig, counter, null_basis, f, room, *, seed, **settings):
-    """Check the arguments, then default the counter, kernel basis and factor.
+def solver_setup(a, neig, counter, null_basis, f, room, *, delta, seed, **settings):
+    """Check the arguments, open the run, then default the factor and guard.
 
     null_basis must have a.n rows and neig must lie in [1, a.n -
-    null_basis.k], both checked before the costly IC(0) default.  Returns
-    (counter, guard, f, t0); guard copies null_basis with room for room
-    more columns, so growing it never touches the caller's basis, and t0
-    is the run's clock at entry.  The counter keeps the seed and the
-    solver's effective settings for spent, a failed run's report too.
+    null_basis.k]; delta and a delta_pcg setting must be finite and
+    positive, an itmax_inner setting nonnegative.  All is checked before
+    the counter is touched and before the costly IC(0) default.  Returns
+    (counter, guard, f); guard copies null_basis with room for room more
+    columns, so growing it never touches the caller's basis.  The run
+    opens before the default factor, so its clock includes it, and the
+    counter keeps the seed and the solver's effective settings for
+    run_report, a failed run's report too.
     """
-    t0 = time.perf_counter()
     if null_basis is None:
         null_basis = kernel_basis(a.n)
     if null_basis.n != a.n:
@@ -108,13 +111,18 @@ def solver_setup(a, neig, counter, null_basis, f, room, *, seed, **settings):
     if neig > usable:
         raise ValueError(f"asked for {neig} pairs but only {usable} exist "
                          "outside the kernel")
+    for name in ("delta", "delta_pcg"):
+        tol = settings.get(name, delta)
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"{name} must be finite and positive, not {tol}")
+    if settings.get("itmax_inner", 0) < 0:
+        raise ValueError(f"itmax_inner must be nonnegative, not {settings['itmax_inner']}")
     if counter is None:
         counter = MvpCounter()
+    counter.open_run(seed=seed, **settings)
     if f is None:
         f = ic0_factorize(a)
-    guard = DeflationBasis(null_basis.columns, null_basis.k + room)
-    counter.open_run(seed=seed, **settings)
-    return counter, guard, f, t0
+    return counter, DeflationBasis(null_basis.columns, null_basis.k + room), f
 
 
 def fresh_accept(a, u, delta, counter):
@@ -131,40 +139,37 @@ def fresh_accept(a, u, delta, counter):
     return relres <= delta, theta, relres, w
 
 
-def spent(counter):
-    """A report's cost fields and config keys: what counter spent since its
-    run's entry, then the settings the run opened it with."""
+def run_report(solver, neig, delta, counter, pairs=None, **found):
+    """The report of the run open on counter, converged when pairs is given.
+
+    Cost and wall_seconds count from the run's entry; the config holds
+    mvp_outer, mvp_verify and restarts, the settings the run opened
+    with, then found (DACG's iterations per pair, a failed run's error).
+    """
     outer, inner, verify, solves, restarts = (
         t - m for t, m in zip(counter.tallies(), counter.marks))
-    return (dict(mvp=outer + inner + verify, outer_its=solves, inner_its_total=inner),
-            dict(mvp_outer=outer, mvp_verify=verify, restarts=restarts, **counter.settings))
+    done = pairs is not None
+    return SolverReport(
+        solver=solver, neig=neig, delta=delta, mvp=outer + inner + verify,
+        outer_its=solves, inner_its_total=inner,
+        wall_seconds=time.perf_counter() - counter.started, converged=done,
+        per_pair_residuals=pairs.residuals.tolist() if done else [],
+        eigenvalues=pairs.values.tolist() if done else [],
+        config=dict(mvp_outer=outer, mvp_verify=verify, restarts=restarts,
+                    **counter.settings, **found))
 
 
-def solver_result(solver, delta, counter, t0, vals, vecs, resids, **found):
+def solver_result(solver, delta, counter, vals, vecs, resids, **found):
     """Sort the accepted pairs into an EigenPairSet and report the run.
 
     vals, vecs and resids list the accepted pairs in any order, one
-    unit vector per value; t0 is solver_setup's clock.  The config holds
-    what spent reads off the counter, then found (such as DACG's
-    iterations per pair).
+    unit vector per value; found goes to run_report.
     """
-    fields, ledger = spent(counter)
     order = np.argsort(vals, kind="stable")
     pairs = EigenPairSet(np.asarray(vals)[order],
                          np.column_stack(vecs)[:, order],
                          np.asarray(resids)[order])
-    report = SolverReport(
-        solver=solver,
-        neig=len(pairs),
-        delta=delta,
-        **fields,
-        wall_seconds=time.perf_counter() - t0,
-        converged=True,
-        per_pair_residuals=pairs.residuals.tolist(),
-        eigenvalues=pairs.values.tolist(),
-        config=dict(**ledger, **found),
-    )
-    return pairs, report
+    return pairs, run_report(solver, len(pairs), delta, counter, pairs, **found)
 
 
 def rayleigh_residuals(a, vectors, counter=None):

@@ -8,6 +8,8 @@ spmv, that ticks a shared counter under the kind of work it serves and
 runs scipy's C product on the frozen arrays.
 """
 
+import time
+
 import numpy as np
 from scipy.sparse import coo_array, csr_array
 from scipy.sparse._sparsetools import csr_matvec
@@ -21,16 +23,16 @@ class MvpCounter:
     fresh acceptance products; solves counts inner solves, one per
     pcg_solve call, and restarts the solvers' subspace restarts.  count
     is the sum of the three product tallies.  open_run marks the tallies
-    at a solver run's entry and keeps that run's effective settings, so
-    a report, a failed run's too, reads both off the counter.
+    and the clock at a solver run's entry and keeps the run's settings,
+    so a report, a failed run's too, reads all three off the counter.
     """
 
-    __slots__ = ("outer", "inner", "verify", "solves", "restarts", "marks", "settings")
+    __slots__ = ("outer", "inner", "verify", "solves", "restarts", "marks", "started", "settings")
 
     def __init__(self, count=0):
         self.outer = int(count)
         self.inner = self.verify = self.solves = self.restarts = 0
-        self.marks, self.settings = (0, 0, 0, 0, 0), {}
+        self.marks, self.started, self.settings = (0, 0, 0, 0, 0), time.perf_counter(), {}
 
     @property
     def count(self):
@@ -44,8 +46,8 @@ class MvpCounter:
         return self.outer, self.inner, self.verify, self.solves, self.restarts
 
     def open_run(self, **settings):
-        """Mark the tallies at a solver run's entry and keep its settings."""
-        self.marks, self.settings = self.tallies(), settings
+        """Mark the tallies and the clock at a solver run's entry and keep its settings."""
+        self.marks, self.started, self.settings = self.tallies(), time.perf_counter(), settings
 
     def __repr__(self):
         return (f"MvpCounter(outer={self.outer}, inner={self.inner}, "

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -125,6 +126,20 @@ class TestRunGraph:
         assert "forced stall" in by_name["jd"].config["error"]
         assert by_name["dacg"].converged
         assert by_name["irlm"].converged
+
+    def test_one_clock_per_run(self, monkeypatch):
+        # a clock that ticks 1.0 per read: a run's report reads it twice,
+        # at the run's entry and at its report, converged or failed
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+        edges = random_connected_graph(30, extra_edges=25, seed=8)
+        reports = run_graph(edges, RunConfig(neig=2))
+        assert [r.converged for r in reports] == [True, True, True]
+        assert [r.wall_seconds for r in reports] == [1.0, 1.0, 1.0]
+        monkeypatch.setitem(lapeig.bench.SOLVERS, "jd", _stall)
+        reports = run_graph(edges, RunConfig(neig=2))
+        assert [r.converged for r in reports] == [True, False, True]
+        assert [r.wall_seconds for r in reports] == [1.0, 1.0, 1.0]
 
     def test_failed_run_keeps_the_ledger(self, monkeypatch):
         # three outer steps, then the per-pair cap stops JD
@@ -411,6 +426,14 @@ class TestCliMain:
     def test_nonpositive_neig_exits_3(self, tmp_path, capsys, neig):
         assert main(["--input", str(_write_p3(tmp_path)), "--neig", neig]) == 3
         assert "neig must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, match", [
+        *(("--tol", v, "delta must be finite and positive") for v in ("inf", "0", "nan", "-1")),
+        *(("--pcg-tol", v, "delta_pcg must be finite and positive") for v in ("0", "nan")),
+        ("--itmax-inner", "-1", "itmax_inner must be nonnegative")])
+    def test_bad_tolerance_exits_3(self, tmp_path, capsys, flag, value, match):
+        assert main(["--input", str(_write_p3(tmp_path)), "--neig", "2", flag, value]) == 3
+        assert match in capsys.readouterr().err
 
     def test_disconnected_exits_3_without_optin(self, tmp_path, capsys):
         g = tmp_path / "two.txt"

@@ -1,16 +1,19 @@
 """Tests for the set-up, acceptance and report steps the three solvers share."""
 
+import time
+
 import numpy as np
 import pytest
 
 import lapeig.jd
+import lapeig.results
 from lapeig.dacg import dacg_smallest
 from lapeig.generators import path_graph, random_connected_graph
 from lapeig.graphs import build_laplacian
 from lapeig.irlm import irlm_smallest
 from lapeig.jd import jd_smallest
 from lapeig.pcg import DeflationBasis, kernel_basis
-from lapeig.results import fresh_accept, rayleigh_residuals, spent
+from lapeig.results import fresh_accept, rayleigh_residuals, run_report
 from lapeig.sparse import CsrMatrix, MvpCounter
 
 LEDGER_KEYS = {"mvp_outer", "mvp_verify", "restarts", "seed"}
@@ -105,6 +108,25 @@ def test_bad_neig_is_rejected_before_factoring(name, neig, rows, match):
         solve(a, neig, null_basis=null_basis)
 
 
+@pytest.mark.parametrize(
+    "name, key, value",
+    [*((name, "delta", d) for name in sorted(SOLVERS) for d in (np.inf, 0.0, np.nan, -1.0)),
+     *((name, "delta_pcg", d) for name in ("irlm", "jd") for d in (0.0, np.nan)),
+     ("jd", "itmax_inner", -1)])
+def test_bad_tolerance_is_rejected_before_the_run_opens(monkeypatch, name, key, value):
+    def no_factor(a):
+        raise AssertionError("IC(0) factored for a call the checks refuse")
+
+    monkeypatch.setattr(lapeig.results, "ic0_factorize", no_factor)
+    solve, _ = SOLVERS[name]
+    a = build_laplacian(random_connected_graph(30, extra_edges=25, seed=11))
+    counter = MvpCounter()
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        solve(a, 2, counter=counter, **{key: value})
+    assert counter.tallies() == counter.marks == (0, 0, 0, 0, 0)
+    assert counter.settings == {}
+
+
 @pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_caller_null_basis_is_left_alone(name):
     solve, _ = SOLVERS[name]
@@ -170,17 +192,26 @@ class TestFreshAccept:
         assert not ok
 
 
-def test_spent_counts_from_the_run_entry_and_adds_its_settings():
-    counter = MvpCounter(7)
+def test_run_report_counts_from_the_run_entry_and_adds_its_settings(monkeypatch):
+    ticks = iter(range(100))
+    monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+    counter = MvpCounter(7)  # the clock reads 0
     counter.increment(3, "inner")
     # before a run opens, everything counts and no setting is known
-    assert spent(counter) == (dict(mvp=10, outer_its=0, inner_its_total=3),
-                              dict(mvp_outer=7, mvp_verify=0, restarts=0))
-    counter.open_run(seed=4, ncv=12)
+    report = run_report("dacg", 2, 1e-6, counter)
+    assert (report.mvp, report.outer_its, report.inner_its_total) == (10, 0, 3)
+    assert report.config == dict(mvp_outer=7, mvp_verify=0, restarts=0)
+    assert (report.wall_seconds, report.converged) == (1.0, False)
+    counter.open_run(seed=4, ncv=12)  # the clock reads 2
     counter.increment(2, "verify")
     counter.solves += 1
-    assert spent(counter) == (dict(mvp=2, outer_its=1, inner_its_total=0),
-                              dict(mvp_outer=0, mvp_verify=2, restarts=0, seed=4, ncv=12))
+    report = run_report("irlm", 2, 1e-6, counter, error="stalled")
+    assert (report.mvp, report.outer_its, report.inner_its_total) == (2, 1, 0)
+    # the run's settings, then what it found, in that order
+    assert list(report.config.items()) == [
+        ("mvp_outer", 0), ("mvp_verify", 2), ("restarts", 0), ("seed", 4), ("ncv", 12),
+        ("error", "stalled")]
+    assert (report.wall_seconds, report.eigenvalues) == (1.0, [])
 
 
 def test_rayleigh_residuals_charge_one_verify_product_per_column():
