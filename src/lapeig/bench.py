@@ -25,7 +25,7 @@ from .graphs import (
 from .ic0 import ic0_factorize
 from .irlm import irlm_smallest
 from .jd import jd_smallest
-from .results import SolverError, SolverReport, rayleigh_residuals, run_report
+from .results import SolverError, SolverReport, check_settings, rayleigh_residuals, run_report
 from .sparse import MvpCounter
 
 # the most verified vectors may miss orthonormality or reach into the kernel by
@@ -91,6 +91,8 @@ def _run_one(name, a, neig, f, config, counter):
 def run_graph(edges, config):
     """Run the configured solvers on an in-memory edge list.
 
+    The solver selection, neig and the tolerances are checked before any
+    set-up, so a bad setting costs no factorization and no solver run.
     Solver failures are isolated: a failed solver yields a report with
     converged False and the error message in its config echo, and the
     remaining solvers still run.  A solver that claims convergence but
@@ -101,6 +103,7 @@ def run_graph(edges, config):
     names = config.selection()
     if config.neig < 1:
         raise ValueError("neig must be at least 1")
+    check_settings(config.delta, config.delta_pcg, config.itmax_inner)
     n, m = edges.n_nodes, edges.m
     if config.allow_disconnected:
         # search only the nodes on an edge: O(m), same component kept

@@ -5,6 +5,13 @@ sorted, strictly positive weights, no self-loops, no duplicates).  The
 Laplacian L = D - A keeps every diagonal entry explicitly, so its
 stored nonzero count is n + 2m.
 
+Set-up sorts nothing that canonical order already sorts.  The edges
+(i, j) are the upper triangle of A in CSR order, which the component
+search takes as is.  Listed as lower triangle (j, i), diagonal, then
+upper triangle (i, j), the Laplacian's triplets bring each row's
+columns in increasing order, and scipy's COO to CSR pass keeps the
+input order within a row, so no row is sorted.
+
 Each format has one reader, a loop over the lines of the file.  Past
 the node-count or size line it hands the rest of the file to numpy's C
 text parser (np.loadtxt), straight into int64, int64 and float64
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import coo_array
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components as _scipy_components
 
 from .sparse import CsrMatrix
@@ -355,20 +362,23 @@ def build_laplacian(g):
 
     Every diagonal entry is stored even when zero, so nnz = n + 2m and
     each row sums exactly to zero.  Raises ValueError when a weighted
-    degree overflows to a non-finite value.
+    degree overflows to a non-finite value.  g's canonical order leaves
+    every row's columns in increasing order (see the module docstring).
     """
     n = g.n_nodes
-    deg = np.zeros(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(deg, g.i, g.w)
-        np.add.at(deg, g.j, g.w)
+        # bincount adds in input order: a degree sums the node's edges as
+        # i, then as j, each in edge order
+        deg = np.bincount(np.concatenate([g.i, g.j]), weights=np.concatenate([g.w, g.w]),
+                          minlength=n)
     bad = np.flatnonzero(~np.isfinite(deg))
     if bad.size:
         raise ValueError(f"weighted degree of node {int(bad[0])} is not finite "
                          f"({deg[bad[0]]}); edge weights are too large")
-    rows = np.concatenate([g.i, g.j, np.arange(n)])
-    cols = np.concatenate([g.j, g.i, np.arange(n)])
-    vals = np.concatenate([-g.w, -g.w, deg])
+    diag = np.arange(n)
+    rows = np.concatenate([g.j, diag, g.i])
+    cols = np.concatenate([g.i, diag, g.j])
+    vals = np.concatenate([-g.w, deg, -g.w])
     return CsrMatrix.from_coo(n, rows, cols, vals, symmetric=True)
 
 
@@ -378,7 +388,9 @@ def connected_components(g):
     Components are numbered by their smallest node, so labels[0] == 0.
     """
     n = g.n_nodes
-    return _labelled_components(coo_array((g.w, (g.i, g.j)), shape=(n, n)))
+    ptr = np.zeros(n + 1, dtype=np.int64)  # the upper triangle as CSR, in edge order
+    np.cumsum(np.bincount(g.i, minlength=n), out=ptr[1:])
+    return _labelled_components(csr_array((g.w, g.j, ptr), shape=(n, n)))
 
 
 def _labelled_components(adjacency):

@@ -87,13 +87,23 @@ class SolverReport:
     config: dict = field(default_factory=dict)
 
 
+def check_settings(delta, delta_pcg=None, itmax_inner=None):
+    """Refuse a delta, or a delta_pcg that is set, that is not finite and
+    positive, and an itmax_inner that is set and negative."""
+    for name, tol in (("delta", delta), ("delta_pcg", delta_pcg)):
+        if (name == "delta" or tol is not None) and not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"{name} must be finite and positive, not {tol}")
+    if itmax_inner is not None and itmax_inner < 0:
+        raise ValueError(f"itmax_inner must be nonnegative, not {itmax_inner}")
+
+
 def solver_setup(a, neig, counter, null_basis, f, room, *, delta, seed, **settings):
     """Check the arguments, open the run, then default the factor and guard.
 
-    null_basis must have a.n rows and neig must lie in [1, a.n -
-    null_basis.k]; delta and a delta_pcg setting must be finite and
-    positive, an itmax_inner setting nonnegative.  All is checked before
-    the counter is touched and before the costly IC(0) default.  Returns
+    null_basis must have a.n rows, neig must lie in [1, a.n -
+    null_basis.k], and delta and the delta_pcg and itmax_inner settings
+    must pass check_settings.  All is checked before the counter is
+    touched and before the costly IC(0) default.  Returns
     (counter, guard, f); guard copies null_basis with room for room more
     columns, so growing it never touches the caller's basis.  The run
     opens before the default factor, so its clock includes it, and the
@@ -111,12 +121,7 @@ def solver_setup(a, neig, counter, null_basis, f, room, *, delta, seed, **settin
     if neig > usable:
         raise ValueError(f"asked for {neig} pairs but only {usable} exist "
                          "outside the kernel")
-    for name in ("delta", "delta_pcg"):
-        tol = settings.get(name, delta)
-        if not (math.isfinite(tol) and tol > 0):
-            raise ValueError(f"{name} must be finite and positive, not {tol}")
-    if settings.get("itmax_inner", 0) < 0:
-        raise ValueError(f"itmax_inner must be nonnegative, not {settings['itmax_inner']}")
+    check_settings(delta, settings.get("delta_pcg"), settings.get("itmax_inner"))
     if counter is None:
         counter = MvpCounter()
     counter.open_run(seed=seed, **settings)

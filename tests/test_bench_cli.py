@@ -1,5 +1,6 @@
 """Tests for the benchmark runner, report formats and the CLI."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -431,9 +432,23 @@ class TestCliMain:
         *(("--tol", v, "delta must be finite and positive") for v in ("inf", "0", "nan", "-1")),
         *(("--pcg-tol", v, "delta_pcg must be finite and positive") for v in ("0", "nan")),
         ("--itmax-inner", "-1", "itmax_inner must be nonnegative")])
-    def test_bad_tolerance_exits_3(self, tmp_path, capsys, flag, value, match):
+    def test_bad_tolerance_exits_3(self, tmp_path, capsys, monkeypatch, flag, value, match):
+        # refused before set-up: no factorization, and DACG, which runs
+        # first and takes neither inner setting, never starts
+        calls = []
+
+        def spy(real):
+            @functools.wraps(real)
+            def called(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+            return called
+
+        monkeypatch.setitem(lapeig.bench.SOLVERS, "dacg", spy(SOLVERS["dacg"]))
+        monkeypatch.setattr(lapeig.bench, "ic0_factorize", spy(ic0_factorize))
         assert main(["--input", str(_write_p3(tmp_path)), "--neig", "2", flag, value]) == 3
         assert match in capsys.readouterr().err
+        assert calls == []
 
     def test_disconnected_exits_3_without_optin(self, tmp_path, capsys):
         g = tmp_path / "two.txt"

@@ -6,11 +6,15 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components as scipy_components
 
 import lapeig.graphs
 from lapeig.generators import (
     complete_graph,
     cycle_graph,
+    geometric_graph,
+    grid_graph,
     path_graph,
     random_connected_graph,
     star_graph,
@@ -258,7 +262,51 @@ class TestMatrixMarketParser:
             load_edge_list(b"", format="csv")
 
 
+def _hub_last_star(leaves):
+    star = star_graph(leaves)
+    return EdgeList(leaves + 1, star.j - 1, np.full(leaves, leaves), star.w)
+
+
+# the Laplacian and the component search rely on the canonical edge order;
+# these graphs put the stored entries of a row on one side of the diagonal
+# or both, and include rows and whole graphs with no edges
+SETUP_GRAPHS = {
+    "path": lambda: path_graph(7),
+    "star, hub first": lambda: star_graph(6),
+    "star, hub last": lambda: _hub_last_star(6),
+    "grid": lambda: grid_graph(4, 5),
+    "complete": lambda: complete_graph(7),
+    "random weighted": lambda: random_connected_graph(60, extra_edges=90, seed=4),
+    "geometric": lambda: geometric_graph(80, 0.2, seed=2, weighted=True),
+    "isolated nodes": lambda: EdgeList(9, [1, 2, 2, 5], [2, 5, 6, 6], [1.0, 2.0, 0.5, 3.0]),
+    "disconnected": lambda: EdgeList(8, [0, 0, 1, 3, 5, 6], [1, 2, 2, 4, 7, 7],
+                                     [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+    "one node": lambda: EdgeList(1, [], [], []),
+}
+
+
+def lexsort_laplacian(g):
+    """CSR arrays of L = D - A from unordered triplets sorted by (row, column)."""
+    n = g.n_nodes
+    deg = np.zeros(n)
+    np.add.at(deg, g.i, g.w)
+    np.add.at(deg, g.j, g.w)
+    rows = np.concatenate([g.i, g.j, np.arange(n)])
+    cols = np.concatenate([g.j, g.i, np.arange(n)])
+    vals = np.concatenate([-g.w, -g.w, deg])
+    order = np.lexsort((cols, rows))
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return ptr, cols[order], vals[order]
+
+
 class TestLaplacian:
+    @pytest.mark.parametrize("name", list(SETUP_GRAPHS))
+    def test_bitwise_the_sorted_triplets(self, name):
+        g = SETUP_GRAPHS[name]()
+        l = build_laplacian(g)
+        for got, want in zip((l.row_ptr, l.col_idx, l.values), lexsort_laplacian(g)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_small_known_matrix(self):
         g = EdgeList(3, [0, 1], [1, 2], [2.0, 1.0])
         l = build_laplacian(g)
@@ -305,6 +353,14 @@ class TestLaplacian:
 
 
 class TestComponents:
+    @pytest.mark.parametrize("name", list(SETUP_GRAPHS))
+    def test_labels_equal_scipy_on_the_triplets(self, name):
+        g = SETUP_GRAPHS[name]()
+        count, labels = connected_components(g)
+        want = scipy_components(coo_array((g.w, (g.i, g.j)), shape=(g.n_nodes,) * 2),
+                                directed=False)
+        assert (count, labels.tolist()) == (want[0], want[1].tolist())
+
     def test_matches_dense_kernel_dimension(self, rng):
         # traversal count equals the number of tiny Laplacian eigenvalues
         for seed in range(6):

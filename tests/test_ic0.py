@@ -26,6 +26,8 @@ from lapeig.ic0 import (
     SHIFT_SCHEDULE,
     Ic0Error,
     Ic0Factor,
+    _grouped,
+    _strict_lower,
     ic0_factorize,
     identity_factor,
 )
@@ -406,11 +408,50 @@ class TestApply:
         for _ in range(3):
             assert f.apply(r).tobytes() == first.tobytes()
 
+    @pytest.mark.parametrize("name", list(APPLY_GRAPHS))
+    def test_arrays_equal_the_strict_lower_construction(self, name):
+        f = ic0_factorize(build_laplacian(APPLY_GRAPHS[name]()))
+        for got, want in zip((f._dinv, *f._lower, *f._upper), reference_apply_arrays(f.l)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, rows, cols", [
+        (3, [0, 1, 2], [0, 0, 2]),
+        (2, [1, 1], [0, 1]),
+        (1, [], []),
+        (2, [0, 0, 1], [0, 1, 1]),
+    ], ids=["row 1 without diagonal", "row 0 empty", "no entries", "entry above diagonal"])
+    def test_l_without_its_diagonal_last_is_refused(self, n, rows, cols):
+        l = CsrMatrix.from_coo(n, rows, cols, np.ones(len(rows)))
+        with pytest.raises(ValueError, match="every diagonal entry stored"):
+            Ic0Factor(l, 0.0, 0)
+
     def test_factor_built_from_l_alone_applies_the_same(self, rng):
         f = ic0_factorize(build_laplacian(random_connected_graph(2000, 5000, seed=2)))
         g = Ic0Factor(f.l, f.shift, f.attempts)
         r = rng.standard_normal(f.l.n)
         assert g.apply(r).tobytes() == f.apply(r).tobytes()
+
+
+def reference_apply_arrays(l):
+    """Ic0Factor's dinv, lower and upper arrays built from _strict_lower and
+    the diagonal, with the upper rows grouped by a stable argsort."""
+    n = l.n
+    lower, row, col, ptr = _strict_lower(l)
+    val, d = l.values[lower], l.diagonal()
+    order = np.argsort(n - 1 - col, kind="stable")
+    uptr = np.concatenate([[0], np.cumsum(np.bincount(n - 1 - col, minlength=n))])
+    return (1.0 / d, ptr, col, -val / d[row],
+            uptr, (n - 1 - row)[order], (-val / d[col])[order])
+
+
+@pytest.mark.parametrize("size", [1, 2**8, 2**8 + 1, 2**16, 2**16 + 1])
+def test_grouped_is_a_stable_argsort(size):
+    # the narrow keys take numpy's radix sort, the wide the composite sort
+    keys = np.random.default_rng(size).integers(0, size, 5000)
+    keys[:2] = size - 1, 0
+    order, ptr = _grouped(keys, size)
+    assert order.tolist() == np.argsort(keys, kind="stable").tolist()
+    assert ptr.tolist() == [0, *np.cumsum(np.bincount(keys, minlength=size)).tolist()]
 
 
 def test_private_csr_matvec_substitutes_in_place():
