@@ -79,20 +79,21 @@ class RunConfig:
         return (self.solver,)
 
 
-def _run_one(name, a, neig, f, config, counter):
-    """Call the named solver with every set config field it takes."""
-    solve = SOLVERS[name]
-    takes = inspect.signature(solve).parameters
-    settings = {key: value for key, value in asdict(config).items()
-                if key in takes and key != "neig" and value is not None}
-    return solve(a, neig, f=f, counter=counter, **settings)
+def _solver_settings(name, config):
+    """The named solver's keyword settings: each config field it takes, neig
+    aside, or else the default in its signature where the field is None."""
+    takes = inspect.signature(SOLVERS[name]).parameters
+    return {key: takes[key].default if value is None else value
+            for key, value in asdict(config).items() if key in takes and key != "neig"}
 
 
 def run_graph(edges, config):
     """Run the configured solvers on an in-memory edge list.
 
-    The solver selection, neig and the tolerances are checked before any
-    set-up, so a bad setting costs no factorization and no solver run.
+    The solver selection is checked first.  After the component check,
+    each selected solver's settings, with the neig it will get, pass
+    check_settings before the Laplacian is built, so a bad setting costs
+    no factorization and no solver run.
     Solver failures are isolated: a failed solver yields a report with
     converged False and the error message in its config echo, and the
     remaining solvers still run.  A solver that claims convergence but
@@ -101,9 +102,6 @@ def run_graph(edges, config):
     VECTOR_TOL, aborts the run with a RuntimeError.
     """
     names = config.selection()
-    if config.neig < 1:
-        raise ValueError("neig must be at least 1")
-    check_settings(config.delta, config.delta_pcg, config.itmax_inner)
     n, m = edges.n_nodes, edges.m
     if config.allow_disconnected:
         # search only the nodes on an edge: O(m), same component kept
@@ -114,30 +112,28 @@ def run_graph(edges, config):
         if ncomp != 1:
             raise ValueError(f"graph has {n} nodes, {m} edges and {ncomp} components; "
                              "pass allow_disconnected to keep the largest one")
-    a = build_laplacian(edges)
-    neig = min(int(config.neig), a.n - 1)
-    if neig < 1:
+    # the Laplacian keeps every node of edges, so a.n is edges.n_nodes
+    neig = min(int(config.neig), edges.n_nodes - 1)
+    if neig < 1 <= config.neig:
         raise ValueError("graph too small: no positive eigenvalues to compute")
+    settings = {name: _solver_settings(name, config) for name in names}
+    for name in names:
+        check_settings(edges.n_nodes, neig, **settings[name])
+    a = build_laplacian(edges)
 
     t0 = time.perf_counter()
     f = ic0_factorize(a)
     factor_seconds = time.perf_counter() - t0
 
-    echo = asdict(config)
-    echo.update(
-        n=a.n,
-        m=edges.m,
-        neig_effective=neig,
-        factor_seconds=factor_seconds,
-        precond_shift=f.shift,
-        precond_attempts=f.attempts,
-    )
+    echo = dict(asdict(config), n=a.n, m=edges.m, neig_effective=neig,
+                factor_seconds=factor_seconds, precond_shift=f.shift,
+                precond_attempts=f.attempts)
 
     reports = []
     for name in names:
         counter = MvpCounter()
         try:
-            pairs, report = _run_one(name, a, neig, f, config, counter)
+            pairs, report = SOLVERS[name](a, neig, f=f, counter=counter, **settings[name])
         except SolverError as err:
             report = run_report(name, neig, config.delta, counter, error=str(err))
         else:

@@ -19,8 +19,8 @@ kernel on badly scaled graphs.
 
 import numpy as np
 
-from .kernels import GramSchmidtBreakdown, dense_sym_eig, mgs_orthonormalize
-from .results import SolverError, fresh_accept, solver_result, solver_setup
+from .kernels import dense_sym_eig
+from .results import SolverError, accept_candidate, solver_result, solver_setup, start_vector
 from .sparse import spmv
 
 _PARALLEL_TOL = 1e-6
@@ -63,28 +63,18 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
     vals, vecs, resids, per_pair = [], [], [], []
 
     for pair_idx in range(neig):
-        start_vec = x0 if pair_idx == 0 and x0 is not None else rng.standard_normal(a.n)
-        try:
-            x, _ = mgs_orthonormalize(start_vec, guard)
-        except GramSchmidtBreakdown as exc:
-            raise SolverError(f"pair {pair_idx}: start vector lies in the "
-                              "deflated subspace") from exc
+        x = start_vector(rng, guard, pair_idx, x0 if pair_idx == 0 else None)
         ax = spmv(a, x, counter)
         q = float(x @ ax)
-        p = None
-        its = 0
-        z_prev = None
-        g_prev = None
-        since_reset = 0
-        accepted = None
+        p = z_prev = g_prev = accepted = None
+        its = since_reset = 0
         res = np.inf
         while its < _MAXIT_PER_PAIR:
             r = ax - q * x
             res = float(np.linalg.norm(r))
             if q > 0 and res / q <= delta:
                 # candidate passes on cached data; confirm with a fresh product
-                xc, _ = mgs_orthonormalize(x, guard)
-                ok, theta, relres, w = fresh_accept(a, xc, delta, counter)
+                ok, xc, theta, relres, w = accept_candidate(a, x, guard, delta, counter)
                 if ok:
                     accepted = (theta, xc, relres)
                     break

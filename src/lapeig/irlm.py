@@ -17,9 +17,9 @@ import inspect
 import numpy as np
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
-from .kernels import DENSE_EIG_MAX_DIM, GramSchmidtBreakdown, mgs_orthonormalize
+from .kernels import DENSE_EIG_MAX_DIM, GramSchmidtBreakdown
 from .pcg import DeflationBasis, pcg_solve
-from .results import SolverError, fresh_accept, solver_result, solver_setup
+from .results import SolverError, accept_candidate, solver_result, solver_setup, start_vector
 
 # PCG iterations per inverse-operator solve, and ARPACK restarts per run
 _MAXIT_INNER = 5000
@@ -50,28 +50,17 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
     share.  Acceptance requires every pair to satisfy
     ||A u - theta u|| / theta <= delta with freshly computed products.
     """
-    # the cap is checked before solver_setup factors IC(0); a neig above
-    # usable is left to solver_setup's own message
-    usable = a.n - (1 if null_basis is None else null_basis.k)
-    if neig <= usable and min(neig + 2, a.n) > DENSE_EIG_MAX_DIM:
-        raise ValueError(f"neig {neig} needs a basis of {neig + 2}, above the "
-                         f"dense solver cap {DENSE_EIG_MAX_DIM}")
-    if delta_pcg is None:
-        delta_pcg = 1e-2 * delta
+    delta_pcg = 1e-2 * delta if delta_pcg is None else delta_pcg
     # ARPACK's restart vectors reach into the kernel, so the basis may hold
-    # a kernel column: capped at n - k it can miss a copy of a repeated value
-    ncv_eff = ncv_for(neig) if ncv is None else int(ncv)
+    # a kernel column: capped at n - k it can miss a copy of a repeated value;
+    # a neig below 1 is left to solver_setup's message
+    ncv_eff = ncv_for(max(neig, 1)) if ncv is None else int(ncv)
     ncv_eff = min(max(ncv_eff, neig + 2), a.n, DENSE_EIG_MAX_DIM)
     counter, null_basis, f = solver_setup(
         a, neig, counter, null_basis, f, 0, delta=delta, seed=seed, ncv=ncv_eff,
         delta_pcg=delta_pcg, maxit_inner=_MAXIT_INNER)
     rng = np.random.default_rng(seed)
-    if v0 is None:
-        v0 = rng.standard_normal(a.n)
-    try:
-        v1, _ = mgs_orthonormalize(v0, null_basis)
-    except GramSchmidtBreakdown as exc:
-        raise SolverError("pair 0: start vector lies in the deflated subspace") from exc
+    v1 = start_vector(rng, null_basis, 0, v0)
 
     def apply_inverse(v):
         # the target is relative to v itself, kernel part included: relative
@@ -97,21 +86,19 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
     accepted = []
     # eigsh lists the operator's values ascending, so the smallest of A last
     for pair, u in enumerate(ritz[:, ::-1].T):
-        u = null_basis.project_out(u)
-        u /= np.linalg.norm(u)
-        ok, theta, relres, _ = fresh_accept(a, u, delta, counter)
-        if not ok:
-            # one inverse-iteration step off the kernel and the pairs accepted
-            # so far; the basis is built here only, so success allocates nothing
-            locked = DeflationBasis(null_basis.columns, null_basis.k + neig)
-            for _, v, _ in accepted:
-                locked.push(v)
-            try:
-                u, _ = mgs_orthonormalize(apply_inverse(u), locked)
-            except GramSchmidtBreakdown as exc:
-                raise SolverError(f"pair {pair}: Ritz vector lies in the span of "
-                                  "the pairs accepted before it") from exc
-            ok, theta, relres, _ = fresh_accept(a, u, delta, counter)
+        try:
+            ok, u, theta, relres, _ = accept_candidate(a, u, null_basis, delta, counter)
+            if not ok:
+                # one inverse-iteration step off the kernel and the pairs accepted
+                # so far; the basis is built here only, so success allocates nothing
+                locked = DeflationBasis(null_basis.columns, null_basis.k + neig)
+                for _, v, _ in accepted:
+                    locked.push(v)
+                ok, u, theta, relres, _ = accept_candidate(a, apply_inverse(u), locked,
+                                                           delta, counter)
+        except GramSchmidtBreakdown as exc:
+            raise SolverError(f"pair {pair}: Ritz vector lies in the span of the "
+                              "kernel and the pairs accepted before it") from exc
         if not ok:
             raise SolverError(f"pair {pair}: Ritz vector has residual {relres:.3e} "
                               f"against delta {delta:.1e}")

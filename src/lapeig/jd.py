@@ -17,10 +17,9 @@ lock writes the verified vector over u and grows the guard by one.
 
 import numpy as np
 
-from .kernels import (DENSE_EIG_MAX_DIM, GramSchmidtBreakdown, dense_sym_eig,
-                      mgs_orthonormalize)
+from .kernels import GramSchmidtBreakdown, dense_sym_eig, mgs_orthonormalize
 from .pcg import jd_correction_solve
-from .results import SolverError, fresh_accept, solver_result, solver_setup
+from .results import SolverError, accept_candidate, solver_result, solver_setup
 from .sparse import spmv
 
 # outer iterations allowed per pair, and without a new best residual
@@ -28,22 +27,15 @@ _MAX_OUTER_PER_PAIR = 300
 _STAGNATION_WINDOW = 60
 
 
-def _check_bounds(m_min, m_max):
-    if not 0 < m_min < m_max:
-        raise ValueError("need 0 < m_min < m_max")
-    if m_max > DENSE_EIG_MAX_DIM:
-        raise ValueError(f"m_max {m_max} exceeds the dense cap {DENSE_EIG_MAX_DIM}")
-
-
 class JdWorkspace:
     """Search basis V after the guard, its image W = A V and H = V'AV.
 
     guard needs room for m_max more columns; V is the m buffer columns
     after guard.k, W the first m columns of its own n x m_max buffer.
+    The bounds are check_settings's to refuse.
     """
 
     def __init__(self, guard, m_min, m_max):
-        _check_bounds(m_min, m_max)
         self.guard = guard
         self.m_min = int(m_min)
         self.w_buf = np.zeros((guard.n, m_max), order="F")
@@ -122,7 +114,6 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
     projected onto the complement of kernel, locked pairs and the
     current Ritz vector.
     """
-    _check_bounds(m_min, m_max)  # before solver_setup factors IC(0) and sizes the guard
     counter, guard, f = solver_setup(
         a, neig, counter, null_basis, f, neig + m_max, delta=delta, seed=seed,
         delta_pcg=delta_pcg, itmax_inner=itmax_inner, m_min=m_min, m_max=m_max)
@@ -133,9 +124,7 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
     workspace = JdWorkspace(guard, m_min, m_max)
     cand = np.asarray(v0, dtype=np.float64) if v0 is not None \
         else rng.standard_normal(a.n)
-    best_res = np.inf
-    since_best = 0
-    outer_here = 0
+    best_res, since_best, outer_here = np.inf, 0, 0
     while len(locked_vals) < neig:
         pair_idx = len(locked_vals)
         outer_here += 1
@@ -175,15 +164,12 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
         else:
             since_best += 1
         if res < delta * theta:
-            u_fix, _ = mgs_orthonormalize(u, guard)
-            ok, theta_fix, relres, _ = fresh_accept(a, u_fix, delta, counter)
+            ok, u_fix, theta_fix, relres, _ = accept_candidate(a, u, guard, delta, counter)
             if ok:
                 locked_vals.append(theta_fix)
                 locked_vecs.append(u_fix)
                 locked_res.append(relres)
-                best_res = np.inf
-                since_best = 0
-                outer_here = 0
+                best_res, since_best, outer_here = np.inf, 0, 0
                 # carry the remaining Ritz directions over to the next pair;
                 # they are orthogonal to the locked vector to roundoff and
                 # keep W = A V exact, costing no products.  The next

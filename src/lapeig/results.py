@@ -1,9 +1,10 @@
 """The frame shared by the three eigensolvers.
 
-Result containers, plus the three steps every solver runs the same
-way: the set-up (argument checks, then the defaults), the acceptance
-test of a candidate pair with one fresh product, and the assembly of
-the sorted pairs and the report.
+Result containers, plus the steps every solver runs the same way:
+the settings check (check_settings, which run_graph also runs before
+any set-up), the set-up (that check, then the defaults), the start
+vector off the guard, the acceptance test of a candidate pair with one
+fresh product, and the assembly of the sorted pairs and the report.
 """
 
 import math
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ic0 import ic0_factorize
+from .kernels import DENSE_EIG_MAX_DIM, GramSchmidtBreakdown, mgs_orthonormalize
 from .pcg import DeflationBasis, kernel_basis
 from .sparse import MvpCounter, spmv
 
@@ -87,47 +89,68 @@ class SolverReport:
     config: dict = field(default_factory=dict)
 
 
-def check_settings(delta, delta_pcg=None, itmax_inner=None):
-    """Refuse a delta, or a delta_pcg that is set, that is not finite and
-    positive, and an itmax_inner that is set and negative."""
+def check_settings(n, neig, delta=None, delta_pcg=None, itmax_inner=None, m_min=None,
+                   m_max=None, **settings):
+    """Refuse settings no run on an n-node matrix could use.
+
+    neig must be at least 1.  Of the settings that are set, delta and
+    delta_pcg must be finite and positive, itmax_inner nonnegative, and
+    JD's restart bounds 0 < m_min < m_max <= DENSE_EIG_MAX_DIM; IRLM's
+    settings, the ones with an ncv key, need a basis of neig + 2
+    columns, or n, within that cap.  Any other setting passes.
+    """
+    if neig < 1:
+        raise ValueError("neig must be at least 1")
     for name, tol in (("delta", delta), ("delta_pcg", delta_pcg)):
-        if (name == "delta" or tol is not None) and not (math.isfinite(tol) and tol > 0):
+        if tol is not None and not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"{name} must be finite and positive, not {tol}")
     if itmax_inner is not None and itmax_inner < 0:
         raise ValueError(f"itmax_inner must be nonnegative, not {itmax_inner}")
+    if m_max is not None and not 0 < m_min < m_max:
+        raise ValueError("need 0 < m_min < m_max")
+    if m_max is not None and m_max > DENSE_EIG_MAX_DIM:
+        raise ValueError(f"m_max {m_max} exceeds the dense cap {DENSE_EIG_MAX_DIM}")
+    if "ncv" in settings and min(neig + 2, n) > DENSE_EIG_MAX_DIM:
+        raise ValueError(f"neig {neig} needs a basis of {neig + 2}, above the "
+                         f"dense solver cap {DENSE_EIG_MAX_DIM}")
 
 
 def solver_setup(a, neig, counter, null_basis, f, room, *, delta, seed, **settings):
     """Check the arguments, open the run, then default the factor and guard.
 
-    null_basis must have a.n rows, neig must lie in [1, a.n -
-    null_basis.k], and delta and the delta_pcg and itmax_inner settings
-    must pass check_settings.  All is checked before the counter is
-    touched and before the costly IC(0) default.  Returns
-    (counter, guard, f); guard copies null_basis with room for room more
-    columns, so growing it never touches the caller's basis.  The run
-    opens before the default factor, so its clock includes it, and the
-    counter keeps the seed and the solver's effective settings for
-    run_report, a failed run's report too.
+    null_basis must have a.n rows and at most a.n - null_basis.k pairs
+    are asked for; then check_settings runs, all before the counter is
+    touched and the costly IC(0) default.  Returns (counter, guard, f);
+    guard copies null_basis with room for room more columns, so growing
+    it never touches the caller's basis.  The run opens before the
+    default factor, so its clock includes it, and the counter keeps the
+    seed and the solver's effective settings for run_report.
     """
     if null_basis is None:
         null_basis = kernel_basis(a.n)
     if null_basis.n != a.n:
         raise ValueError(f"null_basis has {null_basis.n} rows but the matrix "
                          f"has {a.n}")
-    if neig < 1:
-        raise ValueError("neig must be at least 1")
     usable = a.n - null_basis.k
     if neig > usable:
         raise ValueError(f"asked for {neig} pairs but only {usable} exist "
                          "outside the kernel")
-    check_settings(delta, settings.get("delta_pcg"), settings.get("itmax_inner"))
+    check_settings(a.n, neig, delta, **settings)
     if counter is None:
         counter = MvpCounter()
     counter.open_run(seed=seed, **settings)
     if f is None:
         f = ic0_factorize(a)
     return counter, DeflationBasis(null_basis.columns, null_basis.k + room), f
+
+
+def start_vector(rng, guard, pair, v0=None):
+    """v0, or else a normal draw, orthonormalized against guard; SolverError in its span."""
+    v = rng.standard_normal(guard.n) if v0 is None else v0
+    try:
+        return mgs_orthonormalize(v, guard)[0]
+    except GramSchmidtBreakdown as exc:
+        raise SolverError(f"pair {pair}: start vector lies in the deflated subspace") from exc
 
 
 def fresh_accept(a, u, delta, counter):
@@ -142,6 +165,13 @@ def fresh_accept(a, u, delta, counter):
     res = float(np.linalg.norm(w - theta * u))
     relres = res / theta if theta > 0 else np.inf
     return relres <= delta, theta, relres, w
+
+
+def accept_candidate(a, x, guard, delta, counter):
+    """(accepted, u, theta, relres, w): fresh_accept on u, x orthonormalized against guard."""
+    u, _ = mgs_orthonormalize(x, guard)
+    ok, theta, relres, w = fresh_accept(a, u, delta, counter)
+    return ok, u, theta, relres, w
 
 
 def run_report(solver, neig, delta, counter, pairs=None, **found):

@@ -87,14 +87,14 @@ class CsrMatrix:
         csr = csr_array((values, col_idx, row_ptr), shape=(n, n))
         if not csr.has_canonical_format:
             raise ValueError("column indices must increase strictly within each row")
-        self.n = n
-        self.row_ptr = row_ptr
-        self.col_idx = col_idx
-        self.values = values
-        self.symmetric = bool(symmetric)
-        for arr in (self.row_ptr, self.col_idx, self.values):
+        self._freeze(n, row_ptr, col_idx, values, symmetric, csr)
+
+    def _freeze(self, n, row_ptr, col_idx, values, symmetric, csr):
+        """Keep the valid arrays read-only, with csr, a csr_array on them."""
+        for arr in (row_ptr, col_idx, values):
             arr.setflags(write=False)
-        self.csr = csr
+        self.n, self.row_ptr, self.col_idx, self.values = n, row_ptr, col_idx, values
+        self.symmetric, self.csr = bool(symmetric), csr
 
     @property
     def nnz(self):
@@ -119,7 +119,13 @@ class CsrMatrix:
             rows, cols = rows[order], cols[order]
             k = int(np.flatnonzero((np.diff(rows) == 0) & (np.diff(cols) == 0))[0])
             raise ValueError(f"duplicate entry at ({rows[k]}, {cols[k]})")
-        return cls(n, csr.indptr, csr.indices, csr.data, symmetric=symmetric)
+        # tocsr sorted each row and summed no repeat, so the arrays are
+        # canonical and need only int64 indices, not the constructor's checks
+        csr.indptr = csr.indptr.astype(np.int64, copy=False)
+        csr.indices = csr.indices.astype(np.int64, copy=False)
+        a = object.__new__(cls)
+        a._freeze(int(n), csr.indptr, csr.indices, csr.data, symmetric, csr)
+        return a
 
     @classmethod
     def identity(cls, n):

@@ -44,6 +44,20 @@ def _stall(*args, **kwargs):
     raise SolverError("forced stall for the test")
 
 
+def _refuse_set_up(monkeypatch):
+    """Fail the test at the Laplacian, at IC(0) or at any solver call."""
+    def fail(what):
+        def called(*args, **kwargs):
+            raise AssertionError(f"{what} ran for a setting run_graph refuses")
+        return called
+
+    monkeypatch.setattr(lapeig.bench, "build_laplacian", fail("build_laplacian"))
+    monkeypatch.setattr(lapeig.bench, "ic0_factorize", fail("ic0_factorize"))
+    for name, solve in list(SOLVERS.items()):
+        # run_graph reads each solver's settings off its signature
+        monkeypatch.setitem(lapeig.bench.SOLVERS, name, functools.wraps(solve)(fail(name)))
+
+
 class TestRunGraph:
     def test_all_solvers_agree_with_oracle(self):
         edges = random_connected_graph(30, extra_edges=25, seed=8)
@@ -220,6 +234,35 @@ class TestRunGraph:
             with pytest.raises(ValueError, match="^neig must be at least 1$"):
                 run_graph(path_graph(3), RunConfig(neig=neig))
         assert calls == []
+
+    @pytest.mark.parametrize("settings, match", [
+        ({"m_min": 0}, "^need 0 < m_min < m_max$"),
+        ({"m_max": 600}, "^m_max 600 exceeds the dense cap 512$")])
+    def test_bad_restart_bounds_are_rejected_before_the_set_up(self, monkeypatch,
+                                                               settings, match):
+        # DACG runs first and takes neither bound, so it never starts either
+        _refuse_set_up(monkeypatch)
+        edges = random_connected_graph(2000, extra_edges=3000, seed=1)
+        with pytest.raises(ValueError, match=match):
+            run_graph(edges, RunConfig(neig=5, **settings))
+
+    @pytest.mark.parametrize("solver", ["all", "irlm"])
+    def test_irlm_basis_cap_is_rejected_before_the_set_up(self, monkeypatch, solver):
+        _refuse_set_up(monkeypatch)
+        edges = random_connected_graph(1000, extra_edges=1500, seed=1)
+        with pytest.raises(ValueError, match="^neig 600 needs a basis of 602, "
+                                             "above the dense solver cap 512$"):
+            run_graph(edges, RunConfig(neig=600, solver=solver))
+        # the check sees the neig IRLM would get, at most n - 1
+        with pytest.raises(ValueError, match="^neig 999 needs a basis of 1001"):
+            run_graph(edges, RunConfig(neig=5000, solver=solver))
+
+    @pytest.mark.parametrize("solver", ["dacg", "jd"])
+    def test_irlm_basis_cap_binds_irlm_alone(self, monkeypatch, solver):
+        _refuse_set_up(monkeypatch)
+        edges = random_connected_graph(1000, extra_edges=1500, seed=1)
+        with pytest.raises(AssertionError, match="^build_laplacian ran"):
+            run_graph(edges, RunConfig(neig=600, solver=solver))
 
     def test_shared_factorization_is_echoed(self):
         edges = random_connected_graph(30, extra_edges=25, seed=8)
@@ -449,6 +492,17 @@ class TestCliMain:
         assert main(["--input", str(_write_p3(tmp_path)), "--neig", "2", flag, value]) == 3
         assert match in capsys.readouterr().err
         assert calls == []
+
+    @pytest.mark.parametrize("flag, value, match", [
+        ("--mmin", "0", "need 0 < m_min < m_max"),
+        ("--mmax", "600", "m_max 600 exceeds the dense cap 512")])
+    def test_bad_restart_bound_exits_3_before_the_set_up(self, tmp_path, capsys,
+                                                         monkeypatch, flag, value, match):
+        _refuse_set_up(monkeypatch)
+        assert main(["--input", str(_write_p3(tmp_path)), flag, value]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"lapeig-bench: input error: {match}\n"
 
     def test_disconnected_exits_3_without_optin(self, tmp_path, capsys):
         g = tmp_path / "two.txt"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lapeig.dacg
+import lapeig.results
 from lapeig.dacg import _plane_minimize, dacg_smallest
 from lapeig.generators import (
     complete_graph,
@@ -152,7 +153,8 @@ class TestDacgSmallest:
             calls.append(ok)
             return ok and len(calls) > 1, theta, relres, w
 
-        monkeypatch.setattr(lapeig.dacg, "fresh_accept", reject_once)
+        # DACG judges its candidates through the frame's accept_candidate
+        monkeypatch.setattr(lapeig.results, "fresh_accept", reject_once)
         pairs, report = dacg_smallest(a, 3, delta=1e-6, seed=0)
         assert calls[0]
         assert report.config["mvp_verify"] == 3 + 1

@@ -16,7 +16,7 @@ from lapeig.graphs import build_laplacian
 from lapeig.kernels import dense_sym_eig
 from lapeig.jd import JdWorkspace, jd_smallest
 from lapeig.pcg import DeflationBasis, kernel_basis
-from lapeig.results import SolverError, rayleigh_residuals
+from lapeig.results import SolverError, check_settings, rayleigh_residuals
 from lapeig.sparse import MvpCounter, spmv
 from tests.conftest import dense_positive_pairs
 
@@ -43,17 +43,21 @@ def _check_consistent(ws, dense):
     assert np.max(np.abs(ws.h - ws.v.T @ dense @ ws.v)) < 1e-9
 
 
-class TestJdWorkspace:
+class TestRestartBounds:
+    # check_settings refuses them for jd_smallest and run_graph; the
+    # workspace itself checks nothing
     def test_rejects_bad_restart_bounds(self):
-        with pytest.raises(ValueError):
-            _workspace(10, 5, 5)
-        with pytest.raises(ValueError):
-            _workspace(10, 0, 4)
+        for m_min, m_max in ((5, 5), (0, 4)):
+            with pytest.raises(ValueError, match="^need 0 < m_min < m_max$"):
+                check_settings(10, 1, 1e-6, m_min=m_min, m_max=m_max)
 
     def test_rejects_m_max_above_the_dense_cap(self):
-        with pytest.raises(ValueError, match="dense cap 512"):
-            _workspace(10, 5, 513)
+        with pytest.raises(ValueError, match="^m_max 513 exceeds the dense cap 512$"):
+            check_settings(10, 1, 1e-6, m_min=5, m_max=513)
+        check_settings(10, 1, 1e-6, m_min=5, m_max=512)
 
+
+class TestJdWorkspace:
     def test_append_builds_projected_matrix(self):
         edges = random_connected_graph(20, extra_edges=15, seed=6)
         a = build_laplacian(edges)
