@@ -132,20 +132,21 @@ def run_graph(edges, config):
     reports = []
     for name in names:
         counter = MvpCounter()
+        delta = settings[name].get("delta", config.delta)  # the one the solver ran with
         try:
             pairs, report = SOLVERS[name](a, neig, f=f, counter=counter, **settings[name])
         except SolverError as err:
-            report = run_report(name, neig, config.delta, counter, error=str(err))
+            report = run_report(name, neig, delta, counter, error=str(err))
         else:
             # fresh products on a throwaway counter, independent of the
             # solver's own exit test
             thetas, resids = rayleigh_residuals(a, pairs.positive()[1], MvpCounter())
             gram, overlap = pairs.gram_defect(), pairs.kernel_overlap()
-            if (len(thetas) != neig or np.any(resids > config.delta)
+            if (len(thetas) != neig or np.any(resids > delta)
                     or max(gram, overlap) > VECTOR_TOL):
                 raise RuntimeError(
                     f"{name} claimed convergence but recomputed residuals are "
-                    f"{resids.tolist()} against delta={config.delta}, Gram defect "
+                    f"{resids.tolist()} against delta={delta}, Gram defect "
                     f"{gram:.3e} and kernel overlap {overlap:.3e} against {VECTOR_TOL}"
                 )
             report.per_pair_residuals = [float(r) for r in resids]

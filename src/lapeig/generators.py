@@ -39,27 +39,26 @@ def grid_graph(rows, cols, weight=1.0):
 
 
 def random_connected_graph(n, extra_edges=0, seed=0, weighted=True):
-    """Random tree plus extra chords; connected by construction."""
+    """Random tree plus extra chords; connected by construction.
+
+    Chords are uniform node pairs, drawn until there are n - 1 +
+    extra_edges edges or 50 * (extra_edges + 1) draws were made, so the
+    cap can leave fewer edges.  A block of as many draws as edges are
+    missing can reach the target only at its last draw, so blocks draw
+    what one draw at a time would.  Edges are kept as sorted keys
+    i * n + j, O(n + m) memory; weights follow in that order.
+    """
     rng = np.random.default_rng(seed)
-    pairs = set()
-    for v in range(1, n):
-        parent = int(rng.integers(0, v))
-        pairs.add((parent, v))
-    attempts = 0
-    while len(pairs) < n - 1 + extra_edges and attempts < 50 * (extra_edges + 1):
-        a, b = (int(x) for x in rng.integers(0, n, size=2))
-        attempts += 1
-        if a == b:
-            continue
-        pairs.add((min(a, b), max(a, b)))
-    triples = sorted(pairs)
-    if weighted:
-        w = rng.uniform(0.5, 1.5, size=len(triples))
-    else:
-        w = np.ones(len(triples))
-    i = np.array([t[0] for t in triples], dtype=np.int64)
-    j = np.array([t[1] for t in triples], dtype=np.int64)
-    return EdgeList(n, i, j, w)
+    v = np.arange(1, n)
+    keys = np.sort(rng.integers(0, v) * n + v)
+    want, cap, attempts = n - 1 + extra_edges, 50 * (extra_edges + 1), 0
+    while keys.size < want and attempts < cap:
+        block = min(want - keys.size, cap - attempts)
+        attempts += block
+        a, b = np.sort(rng.integers(0, n, size=(block, 2)), axis=1).T
+        keys = np.union1d(keys, (a * n + b)[a != b])
+    w = rng.uniform(0.5, 1.5, size=keys.size) if weighted else np.ones(keys.size)
+    return EdgeList(n, keys // n, keys % n, w)
 
 
 def geometric_graph(n, radius, seed=0, weighted=False):
@@ -69,18 +68,21 @@ def geometric_graph(n, radius, seed=0, weighted=False):
     nearest cross-pair, so the result is always connected.  The cluster
     structure gives these graphs small, poorly separated leading
     eigenvalues, which makes them useful stress fixtures.
+
+    A k-d tree proposes the pairs, with a margin for its own rounding.
+    Each stitch step computes only the distances from component 0 to the
+    rest, so memory is O(n + m) plus that one block.
     """
+    # imported here: scipy.spatial adds 7 MB to every process that imports lapeig
+    from scipy.spatial import cKDTree
+
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2))
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    iu, ju = np.triu_indices(n, k=1)
-    close = d2[iu, ju] < radius * radius
-    i, j = iu[close], ju[close]
-    if weighted:
-        w = 1.0 / (1.0 + np.sqrt(d2[i, j]))
-    else:
-        w = np.ones(i.size)
-    g = EdgeList(n, i, j, w)
+    i, j = cKDTree(pts).query_pairs(abs(radius) * (1 + 1e-9), output_type="ndarray").T
+    d2 = ((pts[i] - pts[j]) ** 2).sum(-1)
+    close = d2 < radius * radius
+    w = 1.0 / (1.0 + np.sqrt(d2[close])) if weighted else np.ones(close.sum())
+    g = EdgeList(n, i[close], j[close], w)
     while True:
         count, labels = connected_components(g)
         if count == 1:
@@ -88,14 +90,8 @@ def geometric_graph(n, radius, seed=0, weighted=False):
         # join component 0 to the nearest node outside it
         inside = np.flatnonzero(labels == labels[0])
         outside = np.flatnonzero(labels != labels[0])
-        cross = d2[np.ix_(inside, outside)]
+        cross = ((pts[inside, None] - pts[outside]) ** 2).sum(-1)
         k = int(np.argmin(cross))
-        a = int(inside[k // outside.size])
-        b = int(outside[k % outside.size])
-        wt = 1.0 / (1.0 + np.sqrt(d2[a, b])) if weighted else 1.0
-        g = EdgeList(
-            n,
-            np.concatenate([g.i, [min(a, b)]]),
-            np.concatenate([g.j, [max(a, b)]]),
-            np.concatenate([g.w, [wt]]),
-        )
+        a, b = sorted((inside[k // outside.size], outside[k % outside.size]))
+        wt = 1.0 / (1.0 + np.sqrt(cross.flat[k])) if weighted else 1.0
+        g = EdgeList(n, np.append(g.i, a), np.append(g.j, b), np.append(g.w, wt))

@@ -306,6 +306,22 @@ class TestRunGraph:
             assert r.mvp == direct.mvp
             assert r.eigenvalues == direct.eigenvalues
 
+    def test_unset_delta_is_verified_against_the_delta_each_solver_ran_with(
+            self, monkeypatch):
+        for solver in SOLVERS:
+            (report,) = run_graph(path_graph(6), RunConfig(neig=2, delta=None,
+                                                           solver=solver))
+            assert report.converged
+            assert report.delta == 1e-6
+        # a failed run reports the delta it ran with too
+        def stall(a, neig, delta=1e-5, **kwargs):
+            _stall()
+
+        monkeypatch.setitem(lapeig.bench.SOLVERS, "jd", stall)
+        (report,) = run_graph(path_graph(6), RunConfig(neig=2, delta=None, solver="jd"))
+        assert not report.converged
+        assert report.delta == 1e-5
+
 
 class TestReports:
     def test_csv_round_trip(self):
