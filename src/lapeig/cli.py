@@ -1,7 +1,8 @@
 """Command line front end for the benchmark harness.
 
 Exit codes: 0 all selected solvers converged, 2 at least one solver
-failed or was caught misreporting, 3 the input could not be used.
+failed or was caught misreporting, 3 the input or --emit-spectrum's path
+could not be used.
 """
 
 import argparse
@@ -105,8 +106,12 @@ def main(argv=None):
             print("lapeig-bench: no converged run; spectrum not written",
                   file=sys.stderr)
         else:
-            with open(config.emit_spectrum, "wb") as handle:
-                handle.write(emit_spectrum(values))
+            try:
+                with open(config.emit_spectrum, "wb") as handle:
+                    handle.write(emit_spectrum(values))
+            except OSError as err:
+                print(f"lapeig-bench: cannot write the spectrum: {err}", file=sys.stderr)
+                return 3
 
     return 0 if all(r.converged for r in reports) else 2
 

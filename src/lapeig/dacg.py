@@ -20,7 +20,8 @@ kernel on badly scaled graphs.
 import numpy as np
 
 from .kernels import dense_sym_eig
-from .results import SolverError, accept_candidate, solver_result, solver_setup, start_vector
+from .results import (SolverError, accept_candidate, lock_pair, solver_result, solver_setup,
+                      start_vector)
 from .sparse import spmv
 
 _PARALLEL_TOL = 1e-6
@@ -48,8 +49,8 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
     """neig smallest strictly positive eigenpairs by Rayleigh quotient descent.
 
     Each accepted iterate is normalized, verified with a fresh product
-    against the per-pair test ||A x - q x|| / q <= delta, and joined to
-    the deflation set for subsequent pairs.  Raises SolverError when a
+    against the per-pair test ||A x - q x|| / q <= delta, and locked
+    into the guard for subsequent pairs.  Raises SolverError when a
     pair's start vector lies in the deflated span, when no search
     direction survives the collapse test, or when the pair exceeds
     _MAXIT_PER_PAIR iterations.
@@ -60,13 +61,12 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
     rng = np.random.default_rng(seed)
     reset_period = max(1, a.n // 10)
 
-    vals, vecs, resids, per_pair = [], [], [], []
-
+    per_pair = []
     for pair_idx in range(neig):
         x = start_vector(rng, guard, pair_idx, x0 if pair_idx == 0 else None)
         ax = spmv(a, x, counter)
         q = float(x @ ax)
-        p = z_prev = g_prev = accepted = None
+        p = z_prev = g_prev = None
         its = since_reset = 0
         res = np.inf
         while its < _MAXIT_PER_PAIR:
@@ -76,7 +76,7 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
                 # candidate passes on cached data; confirm with a fresh product
                 ok, xc, theta, relres, w = accept_candidate(a, x, guard, delta, counter)
                 if ok:
-                    accepted = (theta, xc, relres)
+                    lock_pair(guard, counter, xc, theta, relres)
                     break
                 x, ax, q = xc, w, theta
                 r = ax - q * x
@@ -125,18 +125,12 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
             x, ax, q = x_new, ax_new, q_new
             its += 1
             since_reset += 1
-        if accepted is None:
+        else:
             raise SolverError(
                 f"pair {pair_idx}: iteration cap {_MAXIT_PER_PAIR} reached "
                 f"(residual {res / q if q else np.inf:.3e}, "
                 f"target {delta:.1e})"
             )
-        theta, u, rres = accepted
-        vals.append(theta)
-        vecs.append(u)
-        resids.append(rres)
         per_pair.append(its)
-        guard.push(u)
 
-    return solver_result("dacg", delta, counter, vals, vecs, resids,
-                         iterations_per_pair=per_pair)
+    return solver_result("dacg", delta, counter, guard, iterations_per_pair=per_pair)

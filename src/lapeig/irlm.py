@@ -7,7 +7,8 @@ largest of the operator.  ARPACK judges its Ritz pairs at the inner
 tolerance delta_pcg, the accuracy the inexact inverse can resolve; each
 pair it returns is then judged against A with a fresh product.  A pair
 that fails is given one inverse-iteration step, orthonormalized against
-the kernel and the pairs accepted before it, and judged once more.
+the guard (the kernel and the pairs locked before it, made only once
+ARPACK has returned, so as not to raise its peak), and judged once more.
 ARPACK does not count its restarts, so the restarts tally stays 0, and a
 restart shows as more than ncv + 1 solves.
 """
@@ -19,7 +20,8 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
 
 from .kernels import DENSE_EIG_MAX_DIM, GramSchmidtBreakdown
 from .pcg import DeflationBasis, pcg_solve
-from .results import SolverError, accept_candidate, solver_result, solver_setup, start_vector
+from .results import (SolverError, accept_candidate, lock_pair, solver_result, solver_setup,
+                      start_vector)
 
 # PCG iterations per inverse-operator solve, and ARPACK restarts per run
 _MAXIT_INNER = 5000
@@ -56,18 +58,18 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
     # a neig below 1 is left to solver_setup's message
     ncv_eff = ncv_for(max(neig, 1)) if ncv is None else int(ncv)
     ncv_eff = min(max(ncv_eff, neig + 2), a.n, DENSE_EIG_MAX_DIM)
-    counter, null_basis, f = solver_setup(
+    counter, kernel, f = solver_setup(
         a, neig, counter, null_basis, f, 0, delta=delta, seed=seed, ncv=ncv_eff,
         delta_pcg=delta_pcg, maxit_inner=_MAXIT_INNER)
     rng = np.random.default_rng(seed)
-    v1 = start_vector(rng, null_basis, 0, v0)
+    v1 = start_vector(rng, kernel, 0, v0)
 
     def apply_inverse(v):
         # the target is relative to v itself, kernel part included: relative
         # to a near-kernel v's small complement part, PCG can stall
-        norm_pv = np.linalg.norm(null_basis.project_out(v))
+        norm_pv = np.linalg.norm(kernel.project_out(v))
         tol = delta_pcg * np.linalg.norm(v) / norm_pv if norm_pv else delta_pcg
-        out = pcg_solve(a, f, v, tol, _MAXIT_INNER, deflation=null_basis, counter=counter)
+        out = pcg_solve(a, f, v, tol, _MAXIT_INNER, deflation=kernel, counter=counter)
         if not out.converged:
             raise SolverError(
                 f"inner PCG stalled at relative residual {out.final_relres:.3e} "
@@ -83,18 +85,14 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
     except (ArpackNoConvergence, ArpackError) as exc:
         raise SolverError(f"ARPACK, ncv {ncv_eff} and tol {delta_pcg:.1e}: {exc}") from exc
 
-    accepted = []
+    guard = DeflationBasis(kernel.columns, kernel.k + neig)
     # eigsh lists the operator's values ascending, so the smallest of A last
     for pair, u in enumerate(ritz[:, ::-1].T):
         try:
-            ok, u, theta, relres, _ = accept_candidate(a, u, null_basis, delta, counter)
+            ok, u, theta, relres, _ = accept_candidate(a, u, kernel, delta, counter)
             if not ok:
-                # one inverse-iteration step off the kernel and the pairs accepted
-                # so far; the basis is built here only, so success allocates nothing
-                locked = DeflationBasis(null_basis.columns, null_basis.k + neig)
-                for _, v, _ in accepted:
-                    locked.push(v)
-                ok, u, theta, relres, _ = accept_candidate(a, apply_inverse(u), locked,
+                # one inverse-iteration step off the kernel and the pairs locked so far
+                ok, u, theta, relres, _ = accept_candidate(a, apply_inverse(u), guard,
                                                            delta, counter)
         except GramSchmidtBreakdown as exc:
             raise SolverError(f"pair {pair}: Ritz vector lies in the span of the "
@@ -102,5 +100,5 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
         if not ok:
             raise SolverError(f"pair {pair}: Ritz vector has residual {relres:.3e} "
                               f"against delta {delta:.1e}")
-        accepted.append((theta, u, relres))
-    return solver_result("irlm", delta, counter, *zip(*accepted))
+        lock_pair(guard, counter, u, theta, relres)
+    return solver_result("irlm", delta, counter, guard)

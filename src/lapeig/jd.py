@@ -11,15 +11,15 @@ vectors) and, right after it, the search basis V in Ritz order: each
 Rayleigh-Ritz step rotates V and W = A V so that H = V'AV is diagonal
 and the Ritz vector u is V's first column.  The expansion block
 [guard, V] and the correction projector [guard, u] are then
-guard.prefix views, a restart keeps V's first m_min columns, and a
-lock writes the verified vector over u and grows the guard by one.
+guard.prefix views, a restart keeps V's first m_min columns, and the
+frame's lock_pair writes the verified vector over u as its one copy.
 """
 
 import numpy as np
 
 from .kernels import GramSchmidtBreakdown, dense_sym_eig, mgs_orthonormalize
 from .pcg import jd_correction_solve
-from .results import SolverError, accept_candidate, solver_result, solver_setup
+from .results import SolverError, accept_candidate, lock_pair, solver_result, solver_setup
 from .sparse import spmv
 
 # outer iterations allowed per pair, and without a new best residual
@@ -94,9 +94,8 @@ class JdWorkspace:
             raise SolverError("restart called below the retention size")
         self.h = self.h[: self.m_min, : self.m_min]
 
-    def lock(self, u):
-        """Write the unit vector u over V's first column and guard it."""
-        self.guard.push(u)
+    def lock(self):
+        """Drop V's first column from W and H, once lock_pair has guarded it."""
         self.w_buf[:, : self.m - 1] = self.w_buf[:, 1 : self.m]
         self.h = self.h[1:, 1:]
 
@@ -118,15 +117,10 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
         a, neig, counter, null_basis, f, neig + m_max, delta=delta, seed=seed,
         delta_pcg=delta_pcg, itmax_inner=itmax_inner, m_min=m_min, m_max=m_max)
     rng = np.random.default_rng(seed)
-
-    locked_vals, locked_vecs, locked_res = [], [], []
-
     workspace = JdWorkspace(guard, m_min, m_max)
-    cand = np.asarray(v0, dtype=np.float64) if v0 is not None \
-        else rng.standard_normal(a.n)
+    cand = rng.standard_normal(a.n) if v0 is None else np.asarray(v0, dtype=np.float64)
     best_res, since_best, outer_here = np.inf, 0, 0
-    while len(locked_vals) < neig:
-        pair_idx = len(locked_vals)
+    while (pair_idx := len(counter.locked)) < neig:
         outer_here += 1
         if outer_here > _MAX_OUTER_PER_PAIR:
             raise SolverError(
@@ -166,16 +160,14 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
         if res < delta * theta:
             ok, u_fix, theta_fix, relres, _ = accept_candidate(a, u, guard, delta, counter)
             if ok:
-                locked_vals.append(theta_fix)
-                locked_vecs.append(u_fix)
-                locked_res.append(relres)
+                lock_pair(guard, counter, u_fix, theta_fix, relres)
                 best_res, since_best, outer_here = np.inf, 0, 0
                 # carry the remaining Ritz directions over to the next pair;
                 # they are orthogonal to the locked vector to roundoff and
                 # keep W = A V exact, costing no products.  The next
                 # expansion is random so a repeated eigenvalue whose second
                 # copy lies outside the carried span still gets seen.
-                workspace.lock(u_fix)
+                workspace.lock()
                 cand = rng.standard_normal(a.n)
                 continue
         if saturated:
@@ -196,4 +188,4 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
         cand = jd_correction_solve(a, theta, guard.prefix(guard.k + 1), r, f,
                                    delta_pcg, itmax_inner, counter)
 
-    return solver_result("jd", delta, counter, locked_vals, locked_vecs, locked_res)
+    return solver_result("jd", delta, counter, guard)

@@ -4,7 +4,8 @@ Result containers, plus the steps every solver runs the same way:
 the settings check (check_settings, which run_graph also runs before
 any set-up), the set-up (that check, then the defaults), the start
 vector off the guard, the acceptance test of a candidate pair with one
-fresh product, and the assembly of the sorted pairs and the report.
+fresh product, the lock of an accepted pair (lock_pair: its vector kept
+once, in the guard), and the assembly of the sorted pairs and the report.
 """
 
 import math
@@ -59,11 +60,8 @@ class EigenPairSet:
 
     def kernel_overlap(self):
         """max_j |u_j' e| / sqrt(n) over the positive pairs."""
-        _, vecs, _ = self.positive()
-        if not vecs.size:
-            return 0.0
-        n = vecs.shape[0]
-        return float(np.abs(vecs.sum(axis=0)).max() / np.sqrt(n))
+        v = self.vectors
+        return float(np.abs(v.sum(axis=0)).max() / np.sqrt(v.shape[0])) if v.size else 0.0
 
 
 @dataclass
@@ -90,17 +88,19 @@ class SolverReport:
 
 
 def check_settings(n, neig, delta=None, delta_pcg=None, itmax_inner=None, m_min=None,
-                   m_max=None, **settings):
+                   m_max=None, seed=None, **settings):
     """Refuse settings no run on an n-node matrix could use.
 
     neig must be at least 1.  Of the settings that are set, delta and
-    delta_pcg must be finite and positive, itmax_inner nonnegative, and
-    JD's restart bounds 0 < m_min < m_max <= DENSE_EIG_MAX_DIM; IRLM's
-    settings, the ones with an ncv key, need a basis of neig + 2
-    columns, or n, within that cap.  Any other setting passes.
+    delta_pcg must be finite and positive, itmax_inner and an integer seed
+    nonnegative, and JD's restart bounds 0 < m_min < m_max <= DENSE_EIG_MAX_DIM;
+    IRLM's, the ones with an ncv key, need a basis of neig + 2 columns, or n,
+    within that cap.  Any other setting passes.
     """
     if neig < 1:
         raise ValueError("neig must be at least 1")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"seed must be nonnegative, not {seed}")
     for name, tol in (("delta", delta), ("delta_pcg", delta_pcg)):
         if tol is not None and not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"{name} must be finite and positive, not {tol}")
@@ -135,7 +135,7 @@ def solver_setup(a, neig, counter, null_basis, f, room, *, delta, seed, **settin
     if neig > usable:
         raise ValueError(f"asked for {neig} pairs but only {usable} exist "
                          "outside the kernel")
-    check_settings(a.n, neig, delta, **settings)
+    check_settings(a.n, neig, delta, seed=seed, **settings)
     if counter is None:
         counter = MvpCounter()
     counter.open_run(seed=seed, **settings)
@@ -194,16 +194,22 @@ def run_report(solver, neig, delta, counter, pairs=None, **found):
                     **counter.settings, **found))
 
 
-def solver_result(solver, delta, counter, vals, vecs, resids, **found):
-    """Sort the accepted pairs into an EigenPairSet and report the run.
+def lock_pair(guard, counter, u, theta, relres):
+    """Lock an accepted pair: the unit vector u joins guard, theta and relres counter.locked."""
+    guard.push(u)
+    counter.locked.append((theta, relres))
 
-    vals, vecs and resids list the accepted pairs in any order, one
-    unit vector per value; found goes to run_report.
+
+def solver_result(solver, delta, counter, guard, **found):
+    """Sort the run's locked pairs into an EigenPairSet and report the run.
+
+    lock_pair left the vectors in guard's last columns, one per entry of
+    counter.locked; they are copied once, sorted.  found goes to run_report.
     """
+    vals, resids = np.array(counter.locked).T
     order = np.argsort(vals, kind="stable")
-    pairs = EigenPairSet(np.asarray(vals)[order],
-                         np.column_stack(vecs)[:, order],
-                         np.asarray(resids)[order])
+    pairs = EigenPairSet(vals[order], guard.buffer[:, guard.k - order.size + order],
+                         resids[order])
     return pairs, run_report(solver, len(pairs), delta, counter, pairs, **found)
 
 

@@ -24,15 +24,18 @@ class MvpCounter:
     pcg_solve call, and restarts the solvers' subspace restarts.  count
     is the sum of the three product tallies.  open_run marks the tallies
     and the clock at a solver run's entry and keeps the run's settings,
-    so a report, a failed run's too, reads all three off the counter.
+    so a report, a failed run's too, reads all three off the counter;
+    locked lists the (value, residual) of each pair the run locked.
     """
 
-    __slots__ = ("outer", "inner", "verify", "solves", "restarts", "marks", "started", "settings")
+    __slots__ = ("outer", "inner", "verify", "solves", "restarts", "marks", "started",
+                 "settings", "locked")
 
     def __init__(self, count=0):
         self.outer = int(count)
         self.inner = self.verify = self.solves = self.restarts = 0
         self.marks, self.started, self.settings = (0, 0, 0, 0, 0), time.perf_counter(), {}
+        self.locked = []
 
     @property
     def count(self):
@@ -48,6 +51,7 @@ class MvpCounter:
     def open_run(self, **settings):
         """Mark the tallies and the clock at a solver run's entry and keep its settings."""
         self.marks, self.started, self.settings = self.tallies(), time.perf_counter(), settings
+        self.locked = []
 
     def __repr__(self):
         return (f"MvpCounter(outer={self.outer}, inner={self.inner}, "

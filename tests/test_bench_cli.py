@@ -247,6 +247,13 @@ class TestRunGraph:
             run_graph(edges, RunConfig(neig=5, **settings))
 
     @pytest.mark.parametrize("solver", ["all", "irlm"])
+    def test_negative_seed_is_rejected_before_the_set_up(self, monkeypatch, solver):
+        _refuse_set_up(monkeypatch)
+        edges = random_connected_graph(1000, extra_edges=1500, seed=1)
+        with pytest.raises(ValueError, match="^seed must be nonnegative, not -1$"):
+            run_graph(edges, RunConfig(neig=5, solver=solver, seed=-1))
+
+    @pytest.mark.parametrize("solver", ["all", "irlm"])
     def test_irlm_basis_cap_is_rejected_before_the_set_up(self, monkeypatch, solver):
         _refuse_set_up(monkeypatch)
         edges = random_connected_graph(1000, extra_edges=1500, seed=1)
@@ -519,6 +526,23 @@ class TestCliMain:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"lapeig-bench: input error: {match}\n"
+
+    def test_negative_seed_exits_3_before_the_set_up(self, tmp_path, capsys, monkeypatch):
+        _refuse_set_up(monkeypatch)
+        assert main(["--input", str(_write_p3(tmp_path)), "--seed", "-1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "lapeig-bench: input error: seed must be nonnegative, not -1\n"
+
+    def test_unwritable_spectrum_path_exits_3(self, tmp_path, capsys):
+        spec_out = tmp_path / "missing" / "spec.txt"
+        code = main(["--input", str(_write_p3(tmp_path)), "--neig", "1",
+                     "--emit-spectrum", str(spec_out)])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out.startswith("solver")  # the report is written first
+        assert err == (f"lapeig-bench: cannot write the spectrum: [Errno 2] No such file "
+                       f"or directory: '{spec_out}'\n")
 
     def test_disconnected_exits_3_without_optin(self, tmp_path, capsys):
         g = tmp_path / "two.txt"

@@ -16,7 +16,7 @@ from lapeig.graphs import build_laplacian
 from lapeig.kernels import dense_sym_eig
 from lapeig.jd import JdWorkspace, jd_smallest
 from lapeig.pcg import DeflationBasis, kernel_basis
-from lapeig.results import SolverError, check_settings, rayleigh_residuals
+from lapeig.results import SolverError, check_settings, lock_pair, rayleigh_residuals
 from lapeig.sparse import MvpCounter, spmv
 from tests.conftest import dense_positive_pairs
 
@@ -189,9 +189,14 @@ class TestJdLock:
         vals = np.diag(ws.h).copy()
         u = ws.v[:, 0].copy()
         k = ws.guard.k
-        ws.lock(u)
+        counter = MvpCounter()
+        # the frame guards u, written over V's first column; the workspace
+        # then drops that column from W and H
+        lock_pair(ws.guard, counter, u, vals[0], 0.0)
+        ws.lock()
         assert ws.guard.k == k + 1
         assert np.array_equal(ws.guard.columns[:, -1], u)
+        assert counter.locked == [(vals[0], 0.0)]
         assert ws.m == 4
         assert np.array_equal(np.diag(ws.h), vals[1:])
         _check_consistent(ws, a.toarray())

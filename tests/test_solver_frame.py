@@ -1,6 +1,7 @@
 """Tests for the set-up, acceptance and report steps the three solvers share."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import lapeig.results
 from lapeig.dacg import dacg_smallest
 from lapeig.generators import path_graph, random_connected_graph
 from lapeig.graphs import build_laplacian
+from lapeig.ic0 import ic0_factorize
 from lapeig.irlm import irlm_smallest
 from lapeig.jd import jd_smallest
 from lapeig.pcg import DeflationBasis, kernel_basis
@@ -123,6 +125,22 @@ def test_bad_tolerance_is_rejected_before_the_run_opens(monkeypatch, name, key, 
     counter = MvpCounter()
     with pytest.raises(ValueError, match=f"^{key} must be"):
         solve(a, 2, counter=counter, **{key: value})
+    assert counter.tallies() == counter.marks == (0, 0, 0, 0, 0)
+    assert counter.settings == {}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_negative_seed_is_rejected_before_the_run_opens(monkeypatch, name):
+    # default_rng would refuse it too, but only after IC(0) was factored
+    def no_factor(a):
+        raise AssertionError("IC(0) factored for a call the checks refuse")
+
+    monkeypatch.setattr(lapeig.results, "ic0_factorize", no_factor)
+    solve, _ = SOLVERS[name]
+    a = build_laplacian(random_connected_graph(30, extra_edges=25, seed=11))
+    counter = MvpCounter()
+    with pytest.raises(ValueError, match="^seed must be nonnegative, not -1$"):
+        solve(a, 2, counter=counter, seed=-1)
     assert counter.tallies() == counter.marks == (0, 0, 0, 0, 0)
     assert counter.settings == {}
 
@@ -255,3 +273,26 @@ def test_jd_decomposes_each_projected_matrix_once(monkeypatch):
     _, report = jd_smallest(a, 5, delta=1e-6, m_min=2, m_max=4, seed=0)
     assert report.config["restarts"] > 0
     assert len(calls) == report.outer_its + 5
+
+
+@pytest.mark.parametrize("name, before", [("jd", 2_650_369), ("dacg", 1_968_321)])
+def test_locked_vectors_are_kept_once(name, before):
+    # before: the traced peak, in bytes, when each solver kept its locked
+    # vectors in a list of its own besides the guard and the result
+    # stacked them, then sorted the stack; keeping them once, in the
+    # guard, must save at least one n x neig block of doubles
+    solve, _ = SOLVERS[name]
+    a = build_laplacian(random_connected_graph(5000, extra_edges=12500, seed=1000))
+    f = ic0_factorize(a)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        pairs, _ = solve(a, 10, f=f, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(pairs) == 10
+    assert peak <= before - a.n * 10 * 8, f"traced peak {peak} B"
