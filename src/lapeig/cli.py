@@ -2,10 +2,11 @@
 
 Exit codes: 0 all selected solvers converged, 2 at least one solver
 failed or was caught misreporting, 3 the input or --emit-spectrum's path
-could not be used.
+(checked before any solver runs) could not be used.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import asdict
 
@@ -78,9 +79,23 @@ def config_from_args(args):
     return RunConfig(**vars(args))
 
 
+def spectrum_path_problem(path):
+    """Why no spectrum can be written to path, or None; opens nothing."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        return f"{path!r} is a directory"
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
+        return f"no writable directory {parent!r}"
+    return None
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     config = config_from_args(args)
+    spectrum = config.emit_spectrum
+    if spectrum is not None and (problem := spectrum_path_problem(spectrum)):
+        print(f"lapeig-bench: cannot write the spectrum: {problem}", file=sys.stderr)
+        return 3
     try:
         reports = run(config)
     except (GraphFormatError, OSError, ValueError) as err:

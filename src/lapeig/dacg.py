@@ -20,8 +20,7 @@ kernel on badly scaled graphs.
 import numpy as np
 
 from .kernels import dense_sym_eig
-from .results import (SolverError, accept_candidate, lock_pair, solver_result, solver_setup,
-                      start_vector)
+from .results import SolverError, accept_candidate, solver_result, solver_setup, start_vector
 from .sparse import spmv
 
 _PARALLEL_TOL = 1e-6
@@ -74,9 +73,8 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
             res = float(np.linalg.norm(r))
             if q > 0 and res / q <= delta:
                 # candidate passes on cached data; confirm with a fresh product
-                ok, xc, theta, relres, w = accept_candidate(a, x, guard, delta, counter)
+                ok, xc, theta, _, w = accept_candidate(a, x, guard, delta, counter)
                 if ok:
-                    lock_pair(guard, counter, xc, theta, relres)
                     break
                 x, ax, q = xc, w, theta
                 r = ax - q * x

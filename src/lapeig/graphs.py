@@ -434,7 +434,9 @@ def csr_connected_components(a):
 
 
 def write_matrix_market(a, stream=None):
-    """Serialize a symmetric CsrMatrix in coordinate format (lower triangle)."""
+    """Serialize a CsrMatrix flagged symmetric in coordinate format (lower triangle)."""
+    if not a.symmetric:
+        raise ValueError("write_matrix_market writes only a matrix flagged symmetric")
     rows = np.repeat(np.arange(a.n), np.diff(a.row_ptr))
     lower = a.col_idx <= rows
     entries = zip((rows[lower] + 1).tolist(), (a.col_idx[lower] + 1).tolist(),

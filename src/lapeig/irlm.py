@@ -5,10 +5,11 @@ scipy.sparse.linalg.eigsh on the pseudo-inverse of A, which a deflated
 PCG solve applies, so the smallest positive eigenvalues of A become the
 largest of the operator.  ARPACK judges its Ritz pairs at the inner
 tolerance delta_pcg, the accuracy the inexact inverse can resolve; each
-pair it returns is then judged against A with a fresh product.  A pair
-that fails is given one inverse-iteration step, orthonormalized against
-the guard (the kernel and the pairs locked before it, made only once
-ARPACK has returned, so as not to raise its peak), and judged once more.
+pair it returns is then judged against A with a fresh product, off the
+kernel, and a pass locks it into the guard (the kernel and the pairs
+locked before it, made only once ARPACK has returned, so as not to raise
+its peak).  A pair that fails is given one inverse-iteration step,
+orthonormalized against the guard, and judged once more.
 ARPACK does not count its restarts, so the restarts tally stays 0, and a
 restart shows as more than ncv + 1 solves.
 """
@@ -20,8 +21,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
 
 from .kernels import DENSE_EIG_MAX_DIM, GramSchmidtBreakdown
 from .pcg import DeflationBasis, pcg_solve
-from .results import (SolverError, accept_candidate, lock_pair, solver_result, solver_setup,
-                      start_vector)
+from .results import SolverError, accept_candidate, solver_result, solver_setup, start_vector
 
 # PCG iterations per inverse-operator solve, and ARPACK restarts per run
 _MAXIT_INNER = 5000
@@ -89,16 +89,15 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
     # eigsh lists the operator's values ascending, so the smallest of A last
     for pair, u in enumerate(ritz[:, ::-1].T):
         try:
-            ok, u, theta, relres, _ = accept_candidate(a, u, kernel, delta, counter)
+            ok, u, _, relres, _ = accept_candidate(a, u, guard, delta, counter, basis=kernel)
             if not ok:
                 # one inverse-iteration step off the kernel and the pairs locked so far
-                ok, u, theta, relres, _ = accept_candidate(a, apply_inverse(u), guard,
-                                                           delta, counter)
+                ok, _, _, relres, _ = accept_candidate(a, apply_inverse(u), guard, delta,
+                                                       counter)
         except GramSchmidtBreakdown as exc:
             raise SolverError(f"pair {pair}: Ritz vector lies in the span of the "
                               "kernel and the pairs accepted before it") from exc
         if not ok:
             raise SolverError(f"pair {pair}: Ritz vector has residual {relres:.3e} "
                               f"against delta {delta:.1e}")
-        lock_pair(guard, counter, u, theta, relres)
     return solver_result("irlm", delta, counter, guard)

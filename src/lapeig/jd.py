@@ -12,14 +12,14 @@ Rayleigh-Ritz step rotates V and W = A V so that H = V'AV is diagonal
 and the Ritz vector u is V's first column.  The expansion block
 [guard, V] and the correction projector [guard, u] are then
 guard.prefix views, a restart keeps V's first m_min columns, and the
-frame's lock_pair writes the verified vector over u as its one copy.
+frame's acceptance writes the verified vector over u, its one copy.
 """
 
 import numpy as np
 
 from .kernels import GramSchmidtBreakdown, dense_sym_eig, mgs_orthonormalize
 from .pcg import jd_correction_solve
-from .results import SolverError, accept_candidate, lock_pair, solver_result, solver_setup
+from .results import SolverError, accept_candidate, solver_result, solver_setup
 from .sparse import spmv
 
 # outer iterations allowed per pair, and without a new best residual
@@ -95,7 +95,7 @@ class JdWorkspace:
         self.h = self.h[: self.m_min, : self.m_min]
 
     def lock(self):
-        """Drop V's first column from W and H, once lock_pair has guarded it."""
+        """Drop V's first column from W and H, once accept_candidate has guarded it."""
         self.w_buf[:, : self.m - 1] = self.w_buf[:, 1 : self.m]
         self.h = self.h[1:, 1:]
 
@@ -158,9 +158,7 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
         else:
             since_best += 1
         if res < delta * theta:
-            ok, u_fix, theta_fix, relres, _ = accept_candidate(a, u, guard, delta, counter)
-            if ok:
-                lock_pair(guard, counter, u_fix, theta_fix, relres)
+            if accept_candidate(a, u, guard, delta, counter)[0]:
                 best_res, since_best, outer_here = np.inf, 0, 0
                 # carry the remaining Ritz directions over to the next pair;
                 # they are orthogonal to the locked vector to roundoff and

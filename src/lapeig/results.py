@@ -3,8 +3,8 @@
 Result containers, plus the steps every solver runs the same way:
 the settings check (check_settings, which run_graph also runs before
 any set-up), the set-up (that check, then the defaults), the start
-vector off the guard, the acceptance test of a candidate pair with one
-fresh product, the lock of an accepted pair (lock_pair: its vector kept
+vector off the guard, the acceptance of a candidate pair, which judges
+it with one fresh product and locks it when it passes (its vector kept
 once, in the guard), and the assembly of the sorted pairs and the report.
 """
 
@@ -167,10 +167,15 @@ def fresh_accept(a, u, delta, counter):
     return relres <= delta, theta, relres, w
 
 
-def accept_candidate(a, x, guard, delta, counter):
-    """(accepted, u, theta, relres, w): fresh_accept on u, x orthonormalized against guard."""
-    u, _ = mgs_orthonormalize(x, guard)
+def accept_candidate(a, x, guard, delta, counter, basis=None):
+    """(accepted, u, theta, relres, w): fresh_accept on u, x orthonormalized against
+    basis (default guard).  The only lock: an accepted u joins guard and
+    (theta, relres) counter.locked."""
+    u, _ = mgs_orthonormalize(x, guard if basis is None else basis)
     ok, theta, relres, w = fresh_accept(a, u, delta, counter)
+    if ok:
+        guard.push(u)
+        counter.locked.append((theta, relres))
     return ok, u, theta, relres, w
 
 
@@ -194,17 +199,11 @@ def run_report(solver, neig, delta, counter, pairs=None, **found):
                     **counter.settings, **found))
 
 
-def lock_pair(guard, counter, u, theta, relres):
-    """Lock an accepted pair: the unit vector u joins guard, theta and relres counter.locked."""
-    guard.push(u)
-    counter.locked.append((theta, relres))
-
-
 def solver_result(solver, delta, counter, guard, **found):
     """Sort the run's locked pairs into an EigenPairSet and report the run.
 
-    lock_pair left the vectors in guard's last columns, one per entry of
-    counter.locked; they are copied once, sorted.  found goes to run_report.
+    The vectors are guard's last columns, one per entry of counter.locked;
+    they are copied once, sorted.  found goes to run_report.
     """
     vals, resids = np.array(counter.locked).T
     order = np.argsort(vals, kind="stable")

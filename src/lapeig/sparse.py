@@ -1,11 +1,12 @@
 """Compressed sparse row matrices and the counted matrix-vector product.
 
 CsrMatrix validates and freezes its CSR arrays and wraps them, without a
-copy, in a scipy.sparse.csr_array that does the arithmetic.  Every
-solver in this package charges its work to matrix-vector products with
-the operator, so the product is funneled through a single function,
-spmv, that ticks a shared counter under the kind of work it serves and
-runs scipy's C product on the frozen arrays.
+copy, in a scipy.sparse.csr_array that does the arithmetic; from_coo
+sorts triplets into the same constructor.  Every solver in this package
+charges its work to matrix-vector products with the operator, so the
+product is funneled through a single function, spmv, that ticks a
+shared counter under the kind of work it serves and runs scipy's C
+product on the frozen arrays.
 """
 
 import time
@@ -91,10 +92,6 @@ class CsrMatrix:
         csr = csr_array((values, col_idx, row_ptr), shape=(n, n))
         if not csr.has_canonical_format:
             raise ValueError("column indices must increase strictly within each row")
-        self._freeze(n, row_ptr, col_idx, values, symmetric, csr)
-
-    def _freeze(self, n, row_ptr, col_idx, values, symmetric, csr):
-        """Keep the valid arrays read-only, with csr, a csr_array on them."""
         for arr in (row_ptr, col_idx, values):
             arr.setflags(write=False)
         self.n, self.row_ptr, self.col_idx, self.values = n, row_ptr, col_idx, values
@@ -112,24 +109,15 @@ class CsrMatrix:
         vals = np.asarray(vals, dtype=np.float64)
         if not (rows.shape == cols.shape == vals.shape) or rows.ndim != 1:
             raise ValueError("rows, cols and vals must be 1-D arrays of equal length")
-        if rows.size and (rows.min() < 0 or rows.max() >= n):
-            raise ValueError("row index out of range")
-        if cols.size and (cols.min() < 0 or cols.max() >= n):
-            raise ValueError("column index out of range")
-        # scipy sorts each row and sums repeats, so a repeat shortens the result
+        # scipy refuses an index out of range, sorts each row and sums
+        # repeats, so a repeat shortens the result
         csr = coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
         if csr.nnz < rows.size:
             order = np.lexsort((cols, rows))
             rows, cols = rows[order], cols[order]
             k = int(np.flatnonzero((np.diff(rows) == 0) & (np.diff(cols) == 0))[0])
             raise ValueError(f"duplicate entry at ({rows[k]}, {cols[k]})")
-        # tocsr sorted each row and summed no repeat, so the arrays are
-        # canonical and need only int64 indices, not the constructor's checks
-        csr.indptr = csr.indptr.astype(np.int64, copy=False)
-        csr.indices = csr.indices.astype(np.int64, copy=False)
-        a = object.__new__(cls)
-        a._freeze(int(n), csr.indptr, csr.indices, csr.data, symmetric, csr)
-        return a
+        return cls(n, csr.indptr, csr.indices, csr.data, symmetric)
 
     @classmethod
     def identity(cls, n):

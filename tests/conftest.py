@@ -5,6 +5,7 @@ import pytest
 
 from lapeig.graphs import build_laplacian
 from lapeig.results import EigenPairSet
+from lapeig.sparse import CsrMatrix
 
 
 def dense_positive_pairs(edges, neig=None):
@@ -29,6 +30,12 @@ def random_spd(n, rng, density=0.3):
     a[rng.random((n, n)) > density] = 0.0
     a = a @ a.T
     return a + n * np.eye(n)
+
+
+def negated_laplacian(edges):
+    """-L: symmetric, with the Laplacian's kernel and every other value negative."""
+    l = build_laplacian(edges)
+    return CsrMatrix(l.n, l.row_ptr, l.col_idx, -l.values, symmetric=True)
 
 
 @pytest.fixture

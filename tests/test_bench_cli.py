@@ -24,11 +24,11 @@ from lapeig.bench import (
 )
 from lapeig.cli import build_parser, config_from_args, main
 from lapeig.generators import path_graph, random_connected_graph
-from lapeig.graphs import build_laplacian
-from lapeig.ic0 import ic0_factorize
+from lapeig.graphs import EdgeList, build_laplacian
+from lapeig.ic0 import ic0_factorize, identity_factor
 from lapeig.irlm import ncv_for
 from lapeig.results import EigenPairSet, SolverError, SolverReport
-from tests.conftest import dense_positive_pairs
+from tests.conftest import dense_positive_pairs, negated_laplacian
 from tests.test_solver_frame import LEDGER_KEYS
 
 P3_FILE = "3\n0 1 1.0\n1 2 1.0\n"
@@ -208,6 +208,27 @@ class TestRunGraph:
         edges = random_connected_graph(30, extra_edges=25, seed=8)
         with pytest.raises(RuntimeError, match=match):
             run_graph(edges, RunConfig(solver="jd", neig=2))
+
+    def test_inner_pcg_stall_comes_back_as_a_failed_report(self, monkeypatch):
+        monkeypatch.setattr(lapeig.irlm, "_MAXIT_INNER", 1)
+        edges = random_connected_graph(40, extra_edges=60, seed=3)
+        (report,) = run_graph(edges, RunConfig(solver="irlm", neig=2))
+        assert not report.converged
+        assert report.config["error"].startswith("inner PCG stalled at relative residual ")
+        assert report.config["maxit_inner"] == 1
+
+    def test_nonpositive_ritz_value_comes_back_as_a_failed_report(self, monkeypatch):
+        # the pipeline run on -L, which IC(0) cannot factor, with no preconditioner
+        monkeypatch.setattr(lapeig.bench, "build_laplacian", negated_laplacian)
+        monkeypatch.setattr(lapeig.bench, "ic0_factorize", lambda a: identity_factor(a.n))
+        (report,) = run_graph(path_graph(5), RunConfig(solver="jd", neig=1))
+        assert not report.converged
+        assert report.config["error"].startswith("pair 0: nonpositive Ritz value -")
+        assert report.mvp == 1
+
+    def test_one_node_graph_is_too_small(self):
+        with pytest.raises(ValueError, match="^graph too small: no positive eigenvalues"):
+            run_graph(EdgeList(1, [], [], []), RunConfig(neig=1))
 
     def test_unknown_solver_is_rejected_before_factoring(self, monkeypatch):
         calls = []
@@ -534,15 +555,43 @@ class TestCliMain:
         assert out == ""
         assert err == "lapeig-bench: input error: seed must be nonnegative, not -1\n"
 
-    def test_unwritable_spectrum_path_exits_3(self, tmp_path, capsys):
-        spec_out = tmp_path / "missing" / "spec.txt"
+    @pytest.mark.parametrize("spec, why, writable", [
+        ("missing/spec.txt", "no writable directory {parent!r}", True),
+        (".", "{spec!r} is a directory", True),
+        # permission bits do not stop root, so the access check is stubbed
+        ("spec.txt", "no writable directory {parent!r}", False)])
+    def test_unwritable_spectrum_path_exits_3_before_the_run(self, tmp_path, capsys,
+                                                            monkeypatch, spec, why,
+                                                            writable):
+        def refuse(config):
+            raise AssertionError("the run started before the spectrum path was checked")
+
+        monkeypatch.setattr(lapeig.cli, "run", refuse)
+        if not writable:
+            monkeypatch.setattr(os, "access", lambda path, mode: False)
+        spec = str(tmp_path / spec)
+        parent = os.path.dirname(spec)
         code = main(["--input", str(_write_p3(tmp_path)), "--neig", "1",
+                     "--emit-spectrum", spec])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("lapeig-bench: cannot write the spectrum: "
+                       f"{why.format(spec=spec, parent=parent)}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p3.txt"]
+
+    def test_spectrum_write_failure_after_the_run_exits_3(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # a path that passes the early check can still fail at the write
+        spec_out = tmp_path / "spec.txt"
+        monkeypatch.setattr(lapeig.cli, "spectrum_path_problem", lambda path: None)
+        spec_out.mkdir()
+        code = main(["--input", str(_write_p3(tmp_path)), "--solver", "jd", "--neig", "1",
                      "--emit-spectrum", str(spec_out)])
         assert code == 3
         out, err = capsys.readouterr()
         assert out.startswith("solver")  # the report is written first
-        assert err == (f"lapeig-bench: cannot write the spectrum: [Errno 2] No such file "
-                       f"or directory: '{spec_out}'\n")
+        assert err.startswith("lapeig-bench: cannot write the spectrum: [Errno ")
 
     def test_disconnected_exits_3_without_optin(self, tmp_path, capsys):
         g = tmp_path / "two.txt"

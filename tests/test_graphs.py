@@ -30,7 +30,7 @@ from lapeig.graphs import (
     stats,
     write_matrix_market,
 )
-from lapeig.sparse import spmv
+from lapeig.sparse import CsrMatrix, spmv
 
 
 class TestEdgeList:
@@ -434,3 +434,9 @@ class TestMatrixMarketWriter:
             assert np.array_equal(back.i, g.i)
             assert np.array_equal(back.j, g.j)
             assert np.allclose(back.w, g.w, rtol=0, atol=0)
+
+    def test_refuses_a_matrix_not_flagged_symmetric(self):
+        # the lower triangle alone would drop the (0, 2) entry
+        a = CsrMatrix.from_coo(3, [0, 0, 1, 2], [0, 2, 1, 2], [1.0, 5.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="flagged symmetric"):
+            write_matrix_market(a)

@@ -94,6 +94,16 @@ class TestIrlmSmallest:
         with pytest.raises(SolverError, match="No convergence"):
             irlm_smallest(a, 3, ncv=6, delta=1e-8, seed=0)
 
+    def test_inner_pcg_stall_is_a_solver_error(self, monkeypatch):
+        # one PCG iteration cannot reach delta_pcg on a graph with cycles
+        monkeypatch.setattr(lapeig.irlm, "_MAXIT_INNER", 1)
+        a = build_laplacian(random_connected_graph(40, extra_edges=60, seed=3))
+        counter = MvpCounter()
+        with pytest.raises(SolverError, match=r"^inner PCG stalled at relative residual "
+                                              r"\S+ after 1 iterations \(target 1\.0e-08\)$"):
+            irlm_smallest(a, 2, counter=counter)
+        assert counter.tallies()[1:4] == (1, 0, 1)
+
     def test_loose_inner_solves_fail_at_the_first_judgement(self):
         # ARPACK's pairs are only as good as delta_pcg, here far above delta
         a = build_laplacian(random_connected_graph(300, extra_edges=600, seed=1))

@@ -13,12 +13,13 @@ from lapeig.generators import (
     star_graph,
 )
 from lapeig.graphs import build_laplacian
+from lapeig.ic0 import identity_factor
 from lapeig.kernels import dense_sym_eig
 from lapeig.jd import JdWorkspace, jd_smallest
 from lapeig.pcg import DeflationBasis, kernel_basis
-from lapeig.results import SolverError, check_settings, lock_pair, rayleigh_residuals
+from lapeig.results import SolverError, accept_candidate, check_settings, rayleigh_residuals
 from lapeig.sparse import MvpCounter, spmv
-from tests.conftest import dense_positive_pairs
+from tests.conftest import dense_positive_pairs, negated_laplacian
 
 
 def _workspace(n, m_min, m_max, guard=None):
@@ -187,16 +188,16 @@ class TestJdLock:
         ws = _filled_workspace(a, 5, rng, m_min=2, m_max=6)
         ws.rotate(dense_sym_eig(ws.h))
         vals = np.diag(ws.h).copy()
-        u = ws.v[:, 0].copy()
         k = ws.guard.k
         counter = MvpCounter()
-        # the frame guards u, written over V's first column; the workspace
-        # then drops that column from W and H
-        lock_pair(ws.guard, counter, u, vals[0], 0.0)
+        # the frame's acceptance guards u, written over V's first column;
+        # the workspace then drops that column from W and H
+        ok, u, theta, relres, _ = accept_candidate(a, ws.v[:, 0], ws.guard, 1e300, counter)
+        assert ok
         ws.lock()
         assert ws.guard.k == k + 1
         assert np.array_equal(ws.guard.columns[:, -1], u)
-        assert counter.locked == [(vals[0], 0.0)]
+        assert counter.locked == [(theta, relres)]
         assert ws.m == 4
         assert np.array_equal(np.diag(ws.h), vals[1:])
         _check_consistent(ws, a.toarray())
@@ -211,6 +212,15 @@ class TestJdSmallest:
         target = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
         assert abs(vectors[:, 0] @ target) == pytest.approx(1.0, abs=1e-7)
         assert report.converged
+
+    def test_nonpositive_ritz_value_is_a_solver_error(self):
+        # off the kernel every Rayleigh quotient of -L is negative
+        a = negated_laplacian(path_graph(5))
+        counter = MvpCounter()
+        with pytest.raises(SolverError, match="^pair 0: nonpositive Ritz value -"):
+            jd_smallest(a, 1, f=identity_factor(5), counter=counter)
+        # one expansion product, and no verification
+        assert counter.tallies() == (1, 0, 0, 0, 0)
 
     def test_cycle_c4_fiedler_value(self):
         a = build_laplacian(cycle_graph(4))

@@ -185,6 +185,23 @@ class TestPcgSolve:
         assert not out.converged
         assert np.all(np.isfinite(out.solution))
 
+    def test_indefinite_preconditioner_stops_at_the_next_residual(self, rng):
+        # -I keeps p'Ap positive but makes every r'z negative: the first
+        # step is taken, then the iteration stops at r'z <= 0
+        class NegatedIdentity:
+            def apply(self, r):
+                return -r
+
+        a = build_laplacian(random_connected_graph(20, extra_edges=15, seed=5))
+        counter = MvpCounter()
+        out = pcg_solve(a, NegatedIdentity(), rng.standard_normal(20), 1e-12, 50,
+                        deflation=kernel_basis(20), counter=counter)
+        assert out.indefinite
+        assert not out.converged
+        assert out.iterations == 1
+        assert counter.tallies() == (0, 1, 0, 1, 0)
+        assert np.any(out.solution != 0.0)  # the pap stop would take no step
+
     def test_shift_solves_the_shifted_system(self, rng):
         # below the smallest eigenvalue A - theta I stays definite
         n = 30

@@ -15,7 +15,7 @@ from lapeig.ic0 import ic0_factorize
 from lapeig.irlm import irlm_smallest
 from lapeig.jd import jd_smallest
 from lapeig.pcg import DeflationBasis, kernel_basis
-from lapeig.results import fresh_accept, rayleigh_residuals, run_report
+from lapeig.results import accept_candidate, fresh_accept, rayleigh_residuals, run_report
 from lapeig.sparse import CsrMatrix, MvpCounter
 
 LEDGER_KEYS = {"mvp_outer", "mvp_verify", "restarts", "seed"}
@@ -208,6 +208,44 @@ class TestFreshAccept:
         assert relres == pytest.approx(np.linalg.norm(w - theta * u) / theta)
         assert relres > 1e-6
         assert not ok
+
+
+class TestAcceptCandidate:
+    def test_only_a_passing_candidate_is_locked(self):
+        a = build_laplacian(random_connected_graph(6, extra_edges=4, seed=2))
+        vals, vecs = np.linalg.eigh(a.toarray())
+        guard = DeflationBasis(kernel_basis(6).columns, 3)
+        counter = MvpCounter()
+        # a failing candidate leaves the guard and the locked list alone
+        ok, *_ = accept_candidate(a, np.eye(6)[:, 0] - np.eye(6)[:, 1], guard, 1e-6, counter)
+        assert not ok
+        assert (guard.k, counter.locked) == (1, [])
+        # a passing one becomes the guard's next column, with its pair
+        ok, u, theta, relres, _ = accept_candidate(a, 2.0 * vecs[:, 1], guard, 1e-10,
+                                                   counter)
+        assert ok
+        assert guard.k == 2
+        assert np.array_equal(guard.columns[:, 1], u)
+        assert counter.locked == [(theta, relres)]
+        assert theta == pytest.approx(vals[1], rel=1e-13)
+        assert counter.tallies() == (0, 0, 2, 0, 0)
+
+    def test_basis_is_what_the_candidate_is_orthonormalized_against(self):
+        a = build_laplacian(path_graph(4))
+        vecs = np.linalg.eigh(a.toarray())[1]
+        kernel = kernel_basis(4)
+        guard = DeflationBasis(np.column_stack([kernel.columns[:, 0], vecs[:, 2]]), 3)
+        x = vecs[:, 1] + vecs[:, 2]
+        # off the kernel alone x keeps both eigenvectors and fails
+        ok, u, *_ = accept_candidate(a, x, guard, 1e-10, MvpCounter(), kernel)
+        assert not ok
+        assert abs(u @ vecs[:, 2]) == pytest.approx(np.sqrt(0.5), rel=1e-12)
+        assert guard.k == 2
+        # off the guard, the default, it is vecs[:, 1] and is locked
+        ok, u, *_ = accept_candidate(a, x, guard, 1e-10, MvpCounter())
+        assert ok
+        assert guard.k == 3
+        assert np.array_equal(guard.columns[:, 2], u)
 
 
 def test_run_report_counts_from_the_run_entry_and_adds_its_settings(monkeypatch):

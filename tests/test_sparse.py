@@ -57,6 +57,30 @@ class TestCsrMatrix:
         with pytest.raises(ValueError, match=r"duplicate entry at \(0, 1\)"):
             CsrMatrix.from_coo(2, [0, 0], [1, 1], [1.0, 2.0])
 
+    @pytest.mark.parametrize("rows, cols", [
+        ([-1], [0]), ([2], [0]), ([0], [-1]), ([0], [2])])
+    def test_from_coo_rejects_an_index_out_of_range(self, rows, cols):
+        # scipy's COO check refuses it before any CSR array is built
+        with pytest.raises(ValueError, match="index"):
+            CsrMatrix.from_coo(2, rows, cols, [1.0])
+
+    def test_from_coo_rejects_triplets_of_unequal_length(self):
+        with pytest.raises(ValueError, match="^rows, cols and vals must be 1-D arrays "):
+            CsrMatrix.from_coo(2, [0, 1], [0], [1.0, 1.0])
+
+    def test_from_coo_goes_through_the_constructor(self, monkeypatch):
+        calls = []
+        original = CsrMatrix.__init__
+
+        def spy(self, *args, **kwargs):
+            calls.append(args[0])
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CsrMatrix, "__init__", spy)
+        a = CsrMatrix.from_coo(3, [2, 0], [1, 0], [1.0, 2.0], symmetric=True)
+        assert calls == [3]
+        assert a.symmetric and not a.values.flags.writeable
+
     def test_from_coo_matches_a_sort_bit_for_bit(self, rng):
         # shuffled entries with explicit zeros and empty rows
         for n in (1, 7, 60):
