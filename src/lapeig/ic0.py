@@ -42,21 +42,29 @@ The factor's apply solves L y = r and then L^T z = y, each with one call
 of scipy's C csr_matvec.  With each row scaled by 1/l_ii and its
 off-diagonal entries negated, y = r / diag(L) + F y for a strictly lower
 F.  csr_matvec(n, n, F, x, y) sets y[i] += F[i, :] @ x for i = 0, 1, ...
-in turn, so with x and y the same array row i reads the rows before it
-already solved: one call is the whole forward substitution.  L^T is
-stored with its rows and columns numbered n-1-k, which makes it lower
-triangular too.  L keeps each row's diagonal last, after the columns
-below it in increasing order, so the pivots are the rows' last entries
-and F is every entry but the last.  Every row sees the same operations
-in the same order as in a row-by-row loop; there is no per-level call,
-no BLAS and no state kept between calls.
+in turn, adding each row's entries in stored order, so with x and y the
+same array one call is a whole substitution if every row is stored
+after the rows it reads.  The forward sweep stores the rows of L by
+level upwards (row i reads rows of lower levels), the backward sweep
+the rows of L^T by level downwards (row k of L^T reads the rows i > k
+of column k of L, of higher levels), and each level, whose rows read
+none of each other, by row length: csr_matvec ends a row on a
+data-dependent exit, and rows of equal length side by side spare the
+branch mispredictions that the scattered lengths of a graph's rows
+cost.  The levels are the plan's, or found anew for a factor built from
+L alone.  Rows keep their entries in increasing index, renumbered to
+positions in the sweep; L keeps each row's diagonal last, so F is every
+entry but the last.  Three gathers take r into forward order, y into
+backward order and z back.  Every row sees the same operations in the
+same order as in a row-by-row loop, so the bits are the same; there is
+no per-level call, no BLAS and no state kept between calls.
 """
 
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse._sparsetools import csr_matvec
 
-from .sparse import CsrMatrix
+from .sparse import CsrMatrix, _grouped, _inverse, _ranges, _rows_in_order
 
 # retry shifts, tried in order until the factorization completes
 SHIFT_SCHEDULE = (1e-8, 1e-6, 1e-4, 1e-3, 1e-2)
@@ -77,9 +85,9 @@ class Ic0Factor:
     of its row; otherwise the constructor raises ValueError.
     """
 
-    __slots__ = ("l", "shift", "attempts", "_dinv", "_lower", "_upper")
+    __slots__ = ("l", "shift", "attempts", "_gathers", "_forward", "_backward")
 
-    def __init__(self, l, shift, attempts):
+    def __init__(self, l, shift, attempts, *, _level=None):
         self.l = l
         self.shift = float(shift)
         self.attempts = int(attempts)
@@ -94,57 +102,36 @@ class Ic0Factor:
         off = np.arange(row.size) + row  # rows before row i hold i diagonals
         col, val = l.col_idx[off], l.values[off]
         d = l.values[last]
-        self._dinv = 1.0 / d
-        # row i of L scaled by 1/l_ii; row k of L^T by 1/l_kk, numbered n-1-k
-        self._lower = ptr, col, -val / d[row]
-        self._upper = _csr_by_row(n, n - 1 - col, n - 1 - row, -val / d[col])
+        # ic0_factorize passes the levels its plan found for this pattern
+        level, nlev = _levels(n, ptr, row, col) if _level is None else _level
+        # rows of L by level upwards, rows of L^T (columns of L) downwards
+        p1 = _sweep_order(level, nlev, np.diff(ptr))
+        p2 = _sweep_order(nlev - 1 - level, nlev, np.bincount(col, minlength=n))
+        q1, q2 = _inverse(p1), _inverse(p2)
+        # row i of L scaled by 1/l_ii, row k of L^T by 1/l_kk, in sweep positions
+        self._forward = _rows_in_order(p1, ptr, q1[col], -val / d[row])
+        order, bptr = _grouped(q2[col], n)
+        itype = self._forward[0].dtype
+        self._backward = bptr.astype(itype), q2[row[order]].astype(itype), (-val / d[col])[order]
+        self._gathers = p1, 1.0 / d[p1], q1[p2], 1.0 / d[p2], q2
 
     def apply(self, r):
         r = np.asarray(r, dtype=np.float64)
         n = self.l.n
         if r.shape != (n,):
             raise ValueError("vector length does not match factor dimension")
-        y = r * self._dinv
-        csr_matvec(n, n, *self._lower, y, y)
-        w = y[::-1] * self._dinv[::-1]
-        csr_matvec(n, n, *self._upper, w, w)
-        return w[::-1].copy()
+        p1, d1, p12, d2, out = self._gathers
+        y = r[p1] * d1
+        csr_matvec(n, n, *self._forward, y, y)
+        w = y[p12] * d2
+        csr_matvec(n, n, *self._backward, w, w)
+        return w[out]
 
 
-def _csr_by_row(n, row, col, val):
-    """CSR arrays (ptr, col, val) of the entries (row, col, val), each row
-    keeping the order the entries came in."""
-    order, ptr = _grouped(row, n)
-    return ptr, col[order], val[order]
-
-
-def _ranges(starts, counts):
-    """Concatenated arange(s, s + c) over the pairs (s, c), in order."""
-    ends = counts.cumsum()
-    total = ends[-1] if ends.size else 0
-    return np.repeat(starts + counts - ends, counts) + np.arange(total)
-
-
-def _grouped(keys, size):
-    """Indices of keys grouped by key, and the start of each group.
-
-    For integer keys in [0, size), returns (order, ptr): order is
-    np.argsort(keys, kind="stable"), so indices keep their order within
-    a group, and group g is order[ptr[g]:ptr[g + 1]].  numpy's stable
-    argsort is a radix sort on 8- and 16-bit keys, so keys below 2**16
-    are narrowed to those.  Wider keys sort the distinct values
-    keys * len(keys) + index instead: 1.6-1.8 times the radix sort's
-    time at 20,000-70,000 keys, but a seventh of a stable argsort on
-    int64.
-    """
-    if size <= 2**16:
-        order = np.argsort(keys.astype(np.min_scalar_type(size - 1)), kind="stable")
-    else:
-        m = keys.size
-        order = np.sort(keys * m + np.arange(m)) % m
-    ptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=size), out=ptr[1:])
-    return order, ptr
+def _sweep_order(level, nlev, length):
+    """Rows by level, then by length, then by index: two stable sorts."""
+    by_length = _grouped(length, int(length.max(initial=0)) + 1)[0]
+    return by_length[_grouped(level[by_length], nlev)[0]]
 
 
 def _levels(n, ptr, row, col):
@@ -213,7 +200,7 @@ class _Plan:
         del scan_i, found, first, cand, hit
 
         level, nlev = _levels(n, ptr, row, col)
-        self.nlev = nlev
+        self.level, self.nlev = level, nlev
         self.start = a.values[lower]
         # each level's rows, and their entries for the pivot updates
         self.rows, rptr = _grouped(level, nlev)
@@ -281,7 +268,7 @@ def ic0_factorize(a):
     for attempts, alpha in enumerate(shifts, start=1):
         l = plan.factor(diag, alpha)
         if l is not None:
-            return Ic0Factor(l, alpha, attempts)
+            return Ic0Factor(l, alpha, attempts, _level=(plan.level, plan.nlev))
     raise Ic0Error(
         f"pivot breakdown at every shift in {[f'{s:.1e}' for s in shifts]}"
     )

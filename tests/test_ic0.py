@@ -380,12 +380,45 @@ class TestApply:
             want = reference_apply(f, r)
             assert np.linalg.norm(f.apply(r) - want) <= 1e-13 * np.linalg.norm(want)
 
-    def test_bitwise_the_row_by_row_substitution(self, rng):
-        f = ic0_factorize(build_laplacian(
-            spread_weights(random_connected_graph(300, extra_edges=700, seed=5), 5)))
+    @pytest.mark.parametrize("from_l", [False, True], ids=["ic0_factorize", "from l alone"])
+    @pytest.mark.parametrize("name", [*APPLY_GRAPHS, "weighted, denser", "identity"])
+    def test_bitwise_the_row_by_row_substitution(self, rng, name, from_l):
+        # the sweeps take the rows in their own orders; every row must still
+        # sum the same terms in the same order as the loop in index order
+        if name == "identity":
+            f = identity_factor(50)
+        elif name == "weighted, denser":
+            f = ic0_factorize(build_laplacian(
+                spread_weights(random_connected_graph(300, extra_edges=700, seed=5), 5)))
+        else:
+            f = ic0_factorize(build_laplacian(APPLY_GRAPHS[name]()))
+        if from_l:
+            f = Ic0Factor(f.l, f.shift, f.attempts)
         for _ in range(3):
             r = rng.standard_normal(f.l.n)
             assert f.apply(r).tobytes() == reference_substitution(f, r).tobytes()
+
+    @pytest.mark.parametrize("name", list(APPLY_GRAPHS))
+    def test_each_sweep_reads_only_rows_placed_before_it(self, name):
+        # in place, a row must find every row it reads already solved; the
+        # forward sweep takes the levels upwards, the backward downwards,
+        # each level's rows by nondecreasing length
+        f = ic0_factorize(build_laplacian(APPLY_GRAPHS[name]()))
+        n = f.l.n
+        _, row, col, ptr = _strict_lower(f.l)
+        level = reference_levels(f.l)
+        p1, _, p12, _, out = f._gathers
+        p2 = p1[p12]
+        assert out[p2].tolist() == list(range(n))
+        for (sptr, scol, _), order, rank, length in (
+                (f._forward, p1, level, np.diff(ptr)),
+                (f._backward, p2, -level, np.bincount(col, minlength=n))):
+            assert sorted(order.tolist()) == list(range(n))
+            assert np.diff(sptr).tolist() == length[order].tolist()
+            position = np.repeat(np.arange(n), np.diff(sptr))
+            assert (scol < position).all()
+            key = list(zip(rank[order].tolist(), length[order].tolist()))
+            assert key == sorted(key)
 
     def test_one_row_factor(self, rng):
         # a one-node Laplacian is zero and has no factor, so L is given
@@ -411,8 +444,12 @@ class TestApply:
     @pytest.mark.parametrize("name", list(APPLY_GRAPHS))
     def test_arrays_equal_the_strict_lower_construction(self, name):
         f = ic0_factorize(build_laplacian(APPLY_GRAPHS[name]()))
-        for got, want in zip((f._dinv, *f._lower, *f._upper), reference_apply_arrays(f.l)):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        got = (*f._gathers, *f._forward, *f._backward)
+        for g, want in zip(got, reference_apply_arrays(f.l), strict=True):
+            assert g.tobytes() == want.astype(g.dtype).tobytes()
+        # the gathers index natively, the sweeps with int32
+        assert [g.dtype for g in got] == (
+            [np.intp, np.float64] * 2 + [np.intp] + [np.int32, np.int32, np.float64] * 2)
 
     @pytest.mark.parametrize("n, rows, cols", [
         (3, [0, 1, 2], [0, 0, 2]),
@@ -432,16 +469,35 @@ class TestApply:
         assert g.apply(r).tobytes() == f.apply(r).tobytes()
 
 
+def reference_levels(l):
+    """Level of each row of L: 0 without strictly lower entries, otherwise
+    1 + the highest level among its columns, by a loop over the rows."""
+    level = np.zeros(l.n, dtype=np.int64)
+    for i in range(l.n):
+        cols = l.row(i)[0][:-1]
+        level[i] = 1 + level[cols].max() if cols.size else 0
+    return level
+
+
 def reference_apply_arrays(l):
-    """Ic0Factor's dinv, lower and upper arrays built from _strict_lower and
-    the diagonal, with the upper rows grouped by a stable argsort."""
+    """Ic0Factor's gathers (p1, dinv[p1], positions of p2 in the forward
+    sweep, dinv[p2], positions of the rows in the backward sweep) and its
+    forward and backward sweep arrays, built from _strict_lower and a
+    sort by (level, length, row) in Python."""
     n = l.n
     lower, row, col, ptr = _strict_lower(l)
     val, d = l.values[lower], l.diagonal()
-    order = np.argsort(n - 1 - col, kind="stable")
-    uptr = np.concatenate([[0], np.cumsum(np.bincount(n - 1 - col, minlength=n))])
-    return (1.0 / d, ptr, col, -val / d[row],
-            uptr, (n - 1 - row)[order], (-val / d[col])[order])
+    level = reference_levels(l)
+    flen, blen = np.diff(ptr), np.bincount(col, minlength=n)
+    p1 = np.array(sorted(range(n), key=lambda i: (level[i], flen[i], i)), dtype=np.intp)
+    p2 = np.array(sorted(range(n), key=lambda k: (-level[k], blen[k], k)), dtype=np.intp)
+    q1, q2 = np.argsort(p1), np.argsort(p2)
+    # row i of L in increasing column; row k of L^T, column k of L, in increasing row
+    fe = np.concatenate([np.arange(ptr[i], ptr[i + 1]) for i in p1])
+    be = np.concatenate([np.flatnonzero(col == k) for k in p2])
+    return (p1, (1.0 / d)[p1], q1[p2], (1.0 / d)[p2], q2,
+            np.concatenate([[0], np.cumsum(flen[p1])]), q1[col[fe]], (-val / d[row])[fe],
+            np.concatenate([[0], np.cumsum(blen[p2])]), q2[row[be]], (-val / d[col])[be])
 
 
 @pytest.mark.parametrize("size", [1, 2**8, 2**8 + 1, 2**16, 2**16 + 1])
@@ -474,4 +530,34 @@ def test_private_csr_matvec_substitutes_in_place():
         want[i] = s
     assert not np.allclose(want, plain)
     csr_matvec(9, 9, ptr, col, a.data, y, y)
+    assert y.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("itype", [np.int32, np.int64])
+def test_private_csr_matvec_sums_each_row_in_stored_order(itype):
+    # CsrMatrix's rows by length and Ic0Factor's sweeps rely on this too:
+    # row i starts at y[i] and adds its entries in the order they are
+    # stored, whatever order its columns and the rows come in
+    rng = np.random.default_rng(6)
+    n = 40
+    counts = rng.permutation(np.arange(n) % 7)  # rows of scattered lengths, some empty
+    ptr = np.concatenate([[0], np.cumsum(counts)]).astype(itype)
+    col = rng.integers(0, n, ptr[-1]).astype(itype)  # unsorted within rows
+    val = rng.standard_normal(ptr[-1]) * 10.0 ** rng.integers(-8, 9, ptr[-1])
+    x, y0 = rng.standard_normal(n), rng.standard_normal(n)
+
+    def loop(entries):
+        y = y0.copy()
+        for i in range(n):
+            s = y[i]
+            for k in entries(ptr[i], ptr[i + 1]):
+                s += val[k] * x[col[k]]
+            y[i] = s
+        return y
+
+    want = loop(range)
+    # the order is what is pinned: the sums by column order differ
+    assert loop(lambda lo, hi: lo + np.argsort(col[lo:hi], kind="stable")).tobytes() != want.tobytes()
+    y = y0.copy()
+    csr_matvec(n, n, ptr, col, val, x, y)
     assert y.tobytes() == want.tobytes()

@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from lapeig.generators import geometric_graph, random_connected_graph, star_graph
-from lapeig.graphs import build_laplacian
+from lapeig.graphs import EdgeList, build_laplacian
 from lapeig.sparse import CsrMatrix, MvpCounter, spmv
+
+
+def relabel_hub(g):
+    """g with node 0 moved to the middle of the numbering."""
+    perm = np.roll(np.arange(g.n_nodes), g.n_nodes // 2)
+    return EdgeList(g.n_nodes, perm[g.i], perm[g.j], g.w)
 
 
 def reference_from_coo(n, rows, cols, vals):
@@ -102,6 +109,26 @@ class TestCsrMatrix:
         # the order restarts at each row
         assert CsrMatrix(2, [0, 1, 2], [1, 0], [1.0, 1.0]).nnz == 2
 
+    @pytest.mark.parametrize("row_ptr, cols", [
+        ([0, 1, 1, 3], [1, 2, 0]),
+        ([0, 0, 0, 2], [2, 1]),
+        ([0, 2, 2, 2], [1, 1]),
+    ], ids=["after an empty row", "after leading empty rows", "before trailing empty rows"])
+    def test_refuses_a_drop_inside_a_row_next_to_empty_rows(self, row_ptr, cols):
+        with pytest.raises(ValueError, match="increase strictly"):
+            CsrMatrix(3, row_ptr, cols, np.ones(len(cols)))
+
+    @pytest.mark.parametrize("row_ptr, cols", [
+        ([0, 1, 1, 3], [2, 0, 1]),
+        ([0, 0, 2, 3], [1, 2, 0]),
+        ([0, 2, 3, 3], [1, 2, 0]),
+    ], ids=["across an empty row", "after a leading empty row", "before a trailing empty row"])
+    def test_accepts_a_drop_only_across_a_row_boundary(self, row_ptr, cols):
+        a = CsrMatrix(3, row_ptr, cols, np.arange(1.0, len(cols) + 1))
+        assert a.nnz == len(cols)
+        assert np.array_equal(a.toarray(), csr_array(
+            (np.arange(1.0, len(cols) + 1), cols, row_ptr), shape=(3, 3)).toarray())
+
     def test_identity_and_diagonal(self):
         eye = CsrMatrix.identity(4)
         assert np.array_equal(eye.toarray(), np.eye(4))
@@ -116,6 +143,8 @@ class TestCsrMatrix:
         a = small_csr()
         with pytest.raises(ValueError):
             a.values[0] = 9.0
+        # so is the copy of the rows by length that spmv runs over
+        assert not any(arr.flags.writeable for arr in a._by_length)
 
 
 class TestSpmv:
@@ -141,6 +170,27 @@ class TestSpmv:
         a = build_laplacian(graph())
         block = rng.standard_normal((a.n, 2))
         for x in (block[:, 0].copy(), block[:, 1]):  # contiguous, then strided
+            assert spmv(a, x).tobytes() == (a.csr @ x).tobytes()
+
+    @pytest.mark.parametrize("case", ["empty rows", "hub row", "n = 1", "random"])
+    def test_bitwise_the_canonical_product(self, rng, case):
+        # spmv runs over the rows by length and scatters the sums back;
+        # each row must still be summed in its canonical order
+        if case == "empty rows":
+            a = CsrMatrix.from_coo(6, [0, 0, 3, 3, 3, 5], [1, 4, 0, 2, 5, 5], rng.standard_normal(6))
+        elif case == "hub row":
+            a = build_laplacian(relabel_hub(star_graph(500, weight=3.0)))
+        elif case == "n = 1":
+            a = CsrMatrix(1, [0, 1], [0], [2.5])
+        else:
+            dense = rng.standard_normal((300, 300)) * 10.0 ** rng.integers(-6, 7, (300, 300))
+            dense[rng.random((300, 300)) > rng.random((300, 1)) * 0.1] = 0.0
+            r, c = np.nonzero(dense)
+            a = CsrMatrix.from_coo(300, r, c, dense[r, c])
+        # the copy holds the rows in nondecreasing length
+        assert (np.diff(np.diff(a._by_length[1])) >= 0).all()
+        for _ in range(3):
+            x = rng.standard_normal(a.n)
             assert spmv(a, x).tobytes() == (a.csr @ x).tobytes()
 
     def test_empty_rows_give_zero(self):
