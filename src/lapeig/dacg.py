@@ -19,7 +19,7 @@ kernel on badly scaled graphs.
 
 import numpy as np
 
-from .kernels import dense_sym_eig
+from .kernels import _norm, dense_sym_eig
 from .results import SolverError, accept_candidate, solver_result, solver_setup, start_vector
 from .sparse import spmv
 
@@ -27,17 +27,16 @@ _PARALLEL_TOL = 1e-6
 _MAXIT_PER_PAIR = 20000
 
 
-def _plane_minimize(x, ax, p, ap):
+def _plane_minimize(x, ax, q, p, ap, pn):
     """Smallest Rayleigh quotient over span{x, p}: a 2x2 Rayleigh-Ritz step.
 
-    x must be a unit vector and p a nonzero vector orthogonal to it, so
-    that x and p / ||p|| are an orthonormal basis of the plane; ax and
-    ap are their images.  Returns (mu, alpha, beta) with the quotient mu
-    attained at the unit vector alpha * x + beta * p, alpha >= 0.
+    x is a unit vector with image ax and q = x'ax, p a nonzero vector
+    orthogonal to it with image ap and pn = ||p||.  Returns (mu, alpha,
+    beta) with the quotient mu attained at the unit vector alpha * x +
+    beta * p, alpha >= 0.
     """
-    pn = float(np.linalg.norm(p))
     a12 = 0.5 * (float(x @ ap) + float(p @ ax)) / pn
-    vals, vecs = dense_sym_eig([[float(x @ ax), a12], [a12, float(p @ ap) / pn**2]])
+    vals, vecs = dense_sym_eig(np.array([[q, a12], [a12, float(p @ ap) / pn**2]]))
     # LAPACK's sign is arbitrary; keep x's (see the module docstring)
     c = -vecs[:, 0] if vecs[0, 0] < 0 else vecs[:, 0]
     return float(vals[0]), float(c[0]), float(c[1]) / pn
@@ -70,7 +69,7 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
         res = np.inf
         while its < _MAXIT_PER_PAIR:
             r = ax - q * x
-            res = float(np.linalg.norm(r))
+            res = _norm(r)
             if q > 0 and res / q <= delta:
                 # candidate passes on cached data; confirm with a fresh product
                 ok, xc, theta, _, w = accept_candidate(a, x, guard, delta, counter)
@@ -89,14 +88,19 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
                 if beta < 0.0:
                     beta = 0.0
             # z and the previous direction are both in the complement already
-            p = -z + beta * p if (beta != 0.0 and p is not None) else -z
+            if beta != 0.0 and p is not None:
+                p *= beta
+                p -= z
+            else:
+                p = -z
             # a direction that collapses onto x falls back to steepest
             # descent, then to at most two random directions
             retries = 0
             while True:
-                before = float(np.linalg.norm(p))
+                before = _norm(p)
                 p -= (x @ p) * x
-                if np.linalg.norm(p) > _PARALLEL_TOL * before:
+                pn = _norm(p)
+                if pn > _PARALLEL_TOL * before:
                     break
                 retries += 1
                 if retries > 3:
@@ -106,10 +110,10 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
                     )
                 p = guard.project_out(-z if retries == 1 else rng.standard_normal(a.n))
             ap = spmv(a, p, counter, "inner")
-            mu, al, be = _plane_minimize(x, ax, p, ap)
+            mu, al, be = _plane_minimize(x, ax, q, p, ap, pn)
             x_new = kernel.project_out(al * x + be * p)
             ax_new = al * ax + be * ap
-            nrm = float(np.linalg.norm(x_new))
+            nrm = _norm(x_new)
             x_new /= nrm
             ax_new /= nrm
             q_new = float(x_new @ ax_new)

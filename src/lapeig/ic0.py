@@ -38,33 +38,29 @@ fixed number of numpy calls per level.  Random and geometric graphs
 have a few dozen levels, but a path numbered in order has n, and there
 the per-level calls cost more than a plain loop over the rows.
 
-The factor's apply solves L y = r and then L^T z = y, each with one call
-of scipy's C csr_matvec.  With each row scaled by 1/l_ii and its
-off-diagonal entries negated, y = r / diag(L) + F y for a strictly lower
-F.  csr_matvec(n, n, F, x, y) sets y[i] += F[i, :] @ x for i = 0, 1, ...
-in turn, adding each row's entries in stored order, so with x and y the
-same array one call is a whole substitution if every row is stored
-after the rows it reads.  The forward sweep stores the rows of L by
-level upwards (row i reads rows of lower levels), the backward sweep
-the rows of L^T by level downwards (row k of L^T reads the rows i > k
-of column k of L, of higher levels), and each level, whose rows read
-none of each other, by row length: csr_matvec ends a row on a
-data-dependent exit, and rows of equal length side by side spare the
-branch mispredictions that the scattered lengths of a graph's rows
-cost.  The levels are the plan's, or found anew for a factor built from
-L alone.  Rows keep their entries in increasing index, renumbered to
-positions in the sweep; L keeps each row's diagonal last, so F is every
-entry but the last.  Three gathers take r into forward order, y into
-backward order and z back.  Every row sees the same operations in the
-same order as in a row-by-row loop, so the bits are the same; there is
-no per-level call, no BLAS and no state kept between calls.
+The apply solves L y = r and L^T w = y in one in-place call of scipy's C
+csr_matvec over 2n stacked rows and one buffer [y | w | r].
+csr_matvec(n_row, n_col, S, x, y) sets y[i] += S[i, :] @ x for i = 0, 1,
+... in turn, each row's entries in stored order, so with x and y one
+array a row reads the rows before it as solved.  Rows 0..n-1 are L's
+rows by level upwards: a leading 1/l_ii on r_i, then -l_ij / l_ii on y
+in increasing j.  Rows n..2n-1 are L^T's by level downwards: 1/l_kk on y
+at row k's place, then -l_ik / l_kk on w in increasing i.  A level's
+rows, which read none of each other, go by length: csr_matvec ends a row
+on a data-dependent exit, which mispredicts where lengths scatter.  The
+levels are the plan's, or found anew from L alone.  y and w start at
+-0.0, the exact additive identity (-0.0 + t == t for every t; a +0.0
+start would turn a -0.0 sum into +0.0), and one gather takes w back to
+row order.  Each row sees the same operations in the same order as a
+row-by-row loop, so the bits are the same; there is no per-level call,
+no BLAS and no state kept between calls.
 """
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import coo_tocsr, csr_matvec
 
-from .sparse import CsrMatrix, _grouped, _inverse, _ranges, _rows_in_order
+from .sparse import CsrMatrix, _grouped, _inverse, _ranges
 
 # retry shifts, tried in order until the factorization completes
 SHIFT_SCHEDULE = (1e-8, 1e-6, 1e-4, 1e-3, 1e-2)
@@ -78,14 +74,13 @@ class Ic0Error(RuntimeError):
 class Ic0Factor:
     """Lower-triangular incomplete Cholesky factor with its metadata.
 
-    apply(r) solves (L L^T) z = r by two in-place csr_matvec calls, one
-    per triangle, over copies of L's off-diagonal entries scaled by their
-    row's pivot (see the module docstring).  r is left untouched.  l must
-    be lower triangular with every diagonal entry stored, the last entry
-    of its row; otherwise the constructor raises ValueError.
+    apply(r) solves (L L^T) z = r by one in-place csr_matvec call (see
+    the module docstring), leaving r untouched.  l must be lower triangular
+    with every diagonal entry stored, the last entry of its row; otherwise
+    the constructor raises ValueError.
     """
 
-    __slots__ = ("l", "shift", "attempts", "_gathers", "_forward", "_backward")
+    __slots__ = ("l", "shift", "attempts", "_system", "_out")
 
     def __init__(self, l, shift, attempts, *, _level=None):
         self.l = l
@@ -99,7 +94,8 @@ class Ic0Factor:
             raise ValueError("L must be lower triangular with every diagonal entry stored")
         ptr = l.row_ptr - np.arange(n + 1)
         row = np.repeat(np.arange(n), np.diff(ptr))
-        off = np.arange(row.size) + row  # rows before row i hold i diagonals
+        m = row.size
+        off = np.arange(m) + row  # rows before row i hold i diagonals
         col, val = l.col_idx[off], l.values[off]
         d = l.values[last]
         # ic0_factorize passes the levels its plan found for this pattern
@@ -107,25 +103,29 @@ class Ic0Factor:
         # rows of L by level upwards, rows of L^T (columns of L) downwards
         p1 = _sweep_order(level, nlev, np.diff(ptr))
         p2 = _sweep_order(nlev - 1 - level, nlev, np.bincount(col, minlength=n))
-        q1, q2 = _inverse(p1), _inverse(p2)
-        # row i of L scaled by 1/l_ii, row k of L^T by 1/l_kk, in sweep positions
-        self._forward = _rows_in_order(p1, ptr, q1[col], -val / d[row])
-        order, bptr = _grouped(q2[col], n)
-        itype = self._forward[0].dtype
-        self._backward = bptr.astype(itype), q2[row[order]].astype(itype), (-val / d[col])[order]
-        self._gathers = p1, 1.0 / d[p1], q1[p2], 1.0 / d[p2], q2
+        # rows 0..n-1 solve L y = r, rows n..2n-1 L^T w = y: row i of L at
+        # q1[i] leads with r_i, row k of L^T at n + q2[k] with y at q1[k];
+        # coo_tocsr is a stable counting sort by row, so each lead stays first
+        itype = np.int32 if max(3 * n, 2 * (n + m)) < 2**31 else np.int64
+        q1, q2 = _inverse(p1).astype(itype), _inverse(p2).astype(itype)
+        dinv, nnz = 1.0 / d, 2 * (n + m)
+        self._system = np.empty(2 * n + 1, dtype=itype), np.empty(nnz, dtype=itype), np.empty(nnz)
+        coo_tocsr(2 * n, 3 * n, nnz, np.concatenate((q1, n + q2, q1[row], n + q2[col])),
+                  np.concatenate((np.arange(2 * n, 3 * n, dtype=itype), q1, q1[col], n + q2[row])),
+                  np.concatenate((dinv, dinv, -val / d[row], -val / d[col])), *self._system)
+        self._out = (n + q2).astype(np.intp)  # numpy converts other indices before a gather
 
     def apply(self, r):
         r = np.asarray(r, dtype=np.float64)
         n = self.l.n
         if r.shape != (n,):
             raise ValueError("vector length does not match factor dimension")
-        p1, d1, p12, d2, out = self._gathers
-        y = r[p1] * d1
-        csr_matvec(n, n, *self._forward, y, y)
-        w = y[p12] * d2
-        csr_matvec(n, n, *self._backward, w, w)
-        return w[out]
+        # [y | w | r], y and w starting at -0.0, the additive identity
+        buf = np.empty(3 * n)
+        buf[:2 * n] = -0.0
+        buf[2 * n:] = r
+        csr_matvec(2 * n, 3 * n, *self._system, buf, buf)
+        return buf[self._out]
 
 
 def _sweep_order(level, nlev, length):

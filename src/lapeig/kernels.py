@@ -7,6 +7,8 @@ DACG's 2x2 plane.  Its dimension is capped at DENSE_EIG_MAX_DIM, which
 bounds JD's search space and IRLM's basis.
 """
 
+import math
+
 import numpy as np
 
 _REORTH_FACTOR = 0.7
@@ -16,6 +18,11 @@ DENSE_EIG_MAX_DIM = 512
 
 class GramSchmidtBreakdown(RuntimeError):
     """The candidate vector lies numerically inside the basis span."""
+
+
+def _norm(v):
+    """np.linalg.norm(v) without its dispatch: sqrt(v.dot(v)), its bits on a 1-D float64 v."""
+    return math.sqrt(v.dot(v))
 
 
 def mgs_orthonormalize(v, basis):
@@ -60,7 +67,9 @@ def dense_sym_eig(h, max_dim=DENSE_EIG_MAX_DIM):
         raise ValueError("empty matrix")
     if n > max_dim:
         raise ValueError(f"dimension {n} exceeds dense solver cap {max_dim}")
-    scale = max(1.0, float(np.abs(h).max()))
-    if float(np.abs(h - h.T).max()) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric to 1e-12 relative")
-    return np.linalg.eigh(0.5 * (h + h.T))
+    if not (h == h.T).all():  # else 0.5 * (h + h.T) is h bit for bit, short of overflow
+        scale = max(1.0, float(np.abs(h).max()))
+        if float(np.abs(h - h.T).max()) > 1e-12 * scale:
+            raise ValueError("matrix is not symmetric to 1e-12 relative")
+        h = 0.5 * (h + h.T)
+    return np.linalg.eigh(h)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import _norm
 from .sparse import spmv
 
 _ORTHO_TOL = 1e-10
@@ -116,7 +117,8 @@ def pcg_solve(a, precond, b, tol, maxit, deflation=None, counter=None, shift=0.0
     then, per iteration, the shifted product and the preconditioned
     residual, which keeps residuals, directions and iterates in the
     complement.  A nonpositive curvature p' (A - shift I) p stops the
-    iteration immediately and flags the outcome indefinite.
+    iteration immediately and flags the outcome indefinite.  Stopped at
+    maxit, indefinite covers only the iterations that ran; the last forms no z.
     """
     if counter is not None:
         counter.solves += 1
@@ -126,7 +128,7 @@ def pcg_solve(a, precond, b, tol, maxit, deflation=None, counter=None, shift=0.0
         project = deflation.project_out
     psolve = (lambda r: r) if precond is None else precond.apply
     r = project(np.array(b, dtype=np.float64))
-    normb = np.linalg.norm(r)
+    normb = _norm(r)
     n = r.shape[0]
     if normb == 0.0:
         return PcgOutcome(np.zeros(n), 0, 0.0, True)
@@ -151,9 +153,9 @@ def pcg_solve(a, precond, b, tol, maxit, deflation=None, counter=None, shift=0.0
         gamma = rz / pap
         x += gamma * p
         r -= gamma * ap
-        relres = float(np.linalg.norm(r)) / normb
-        if relres <= tol:
-            converged = True
+        relres = _norm(r) / normb
+        converged = bool(relres <= tol)
+        if converged or it == maxit:
             break
         z = project(psolve(r))
         rz_next = float(r @ z)
@@ -161,7 +163,8 @@ def pcg_solve(a, precond, b, tol, maxit, deflation=None, counter=None, shift=0.0
             # preconditioner lost definiteness on the complement
             indefinite = True
             break
-        p = z + (rz_next / rz) * p
+        p *= rz_next / rz
+        p += z
         rz = rz_next
     return PcgOutcome(x, it, relres, converged, indefinite)
 

@@ -23,13 +23,18 @@ P3_V2 = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
 P3_V3 = np.array([1.0, -2.0, 1.0]) / np.sqrt(6.0)
 
 
+def plane_minimize(x, ax, p, ap):
+    """_plane_minimize with q = x'ax and pn = ||p|| computed here, as the loop has them."""
+    return _plane_minimize(x, ax, float(x @ ax), p, ap, float(np.linalg.norm(p)))
+
+
 class TestPlaneMinimize:
     def test_plane_containing_an_eigenvector(self):
         # span{e2, v2} on P3 projects the pencil to diag(2, 1), so the
         # minimum is 1 and it is attained at v2 alone.
         a = build_laplacian(path_graph(3))
         x = np.array([0.0, 1.0, 0.0])
-        mu, alpha, beta = _plane_minimize(x, spmv(a, x), P3_V2, spmv(a, P3_V2))
+        mu, alpha, beta = plane_minimize(x, spmv(a, x), P3_V2, spmv(a, P3_V2))
         assert mu == pytest.approx(1.0, abs=1e-14)
         assert alpha == pytest.approx(0.0, abs=1e-14)
         assert abs(beta) == pytest.approx(1.0, abs=1e-14)
@@ -41,7 +46,7 @@ class TestPlaneMinimize:
         x = np.array([0.0, 1.0, 0.0])
         ax = spmv(a, x)
         p = -2.0 * (ax - (x @ ax) * x)
-        mu, alpha, beta = _plane_minimize(x, ax, p, spmv(a, p))
+        mu, alpha, beta = plane_minimize(x, ax, p, spmv(a, p))
         assert mu == pytest.approx(0.0, abs=1e-14)
         combo = alpha * x + beta * p
         combo /= np.linalg.norm(combo)
@@ -57,7 +62,7 @@ class TestPlaneMinimize:
             p = rng.standard_normal(a.n)
             x /= np.linalg.norm(x)
             p -= (x @ p) * x
-            mu, _, _ = _plane_minimize(x, spmv(a, x), p, spmv(a, p))
+            mu, _, _ = plane_minimize(x, spmv(a, x), p, spmv(a, p))
             qx = x @ spmv(a, x)
             qp = (p @ spmv(a, p)) / (p @ p)
             assert mu <= min(qx, qp) + 1e-12
@@ -73,7 +78,7 @@ class TestPlaneMinimize:
             x /= np.linalg.norm(x)
             p -= (x @ p) * x
             for p in (p, -p):
-                _, alpha, beta = _plane_minimize(x, spmv(a, x), p, spmv(a, p))
+                _, alpha, beta = plane_minimize(x, spmv(a, x), p, spmv(a, p))
                 assert alpha >= 0.0
                 assert np.linalg.norm(alpha * x + beta * p) == pytest.approx(1.0, abs=1e-12)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import coo_tocsr, csr_matvec
 from scipy.sparse.linalg import spsolve_triangular
 
 from lapeig.generators import (
@@ -321,6 +321,16 @@ def reference_apply(f, r):
     return spsolve_triangular(csr_array(f.l.csr.T), y, lower=False)
 
 
+def hard_vectors(rng, n):
+    """Right-hand sides for bitwise checks: a normal draw, -0.0 everywhere
+    (a +0.0 start of a row's sum turns its -0.0 into +0.0), and signed
+    zeros among magnitudes from 1e-30 to 1e30."""
+    mixed = rng.standard_normal(n) * 10.0 ** rng.uniform(-30.0, 30.0, n)
+    mixed[rng.random(n) < 0.2] = -0.0
+    mixed[rng.random(n) < 0.1] = 0.0
+    return rng.standard_normal(n), np.full(n, -0.0), mixed
+
+
 def spread_weights(g, seed):
     """g with weights 10^-3..10^3."""
     w = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, g.m)
@@ -394,29 +404,42 @@ class TestApply:
             f = ic0_factorize(build_laplacian(APPLY_GRAPHS[name]()))
         if from_l:
             f = Ic0Factor(f.l, f.shift, f.attempts)
-        for _ in range(3):
-            r = rng.standard_normal(f.l.n)
+        for r in hard_vectors(rng, f.l.n):
             assert f.apply(r).tobytes() == reference_substitution(f, r).tobytes()
 
     @pytest.mark.parametrize("name", list(APPLY_GRAPHS))
     def test_each_sweep_reads_only_rows_placed_before_it(self, name):
-        # in place, a row must find every row it reads already solved; the
-        # forward sweep takes the levels upwards, the backward downwards,
-        # each level's rows by nondecreasing length
+        # buffer [y | w | r]: in place, a row must find every slot it reads
+        # already written.  Forward row j leads with r_i of the row i of L it
+        # solves, then reads y of forward rows before j; backward row n + j
+        # leads with y at row k's forward place, then reads w of backward
+        # rows before it.  The forward half takes the levels upwards, the
+        # backward downwards, each level's rows by nondecreasing length.
         f = ic0_factorize(build_laplacian(APPLY_GRAPHS[name]()))
         n = f.l.n
         _, row, col, ptr = _strict_lower(f.l)
         level = reference_levels(f.l)
-        p1, _, p12, _, out = f._gathers
-        p2 = p1[p12]
-        assert out[p2].tolist() == list(range(n))
-        for (sptr, scol, _), order, rank, length in (
-                (f._forward, p1, level, np.diff(ptr)),
-                (f._backward, p2, -level, np.bincount(col, minlength=n))):
-            assert sorted(order.tolist()) == list(range(n))
-            assert np.diff(sptr).tolist() == length[order].tolist()
-            position = np.repeat(np.arange(n), np.diff(sptr))
-            assert (scol < position).all()
+        sptr, scol, _ = f._system
+        assert sptr.size == 2 * n + 1 and sptr[0] == 0 and sptr[-1] == scol.size
+        lead = scol[sptr[:-1]]
+        p1 = lead[:n] - 2 * n  # the rows of L, by forward place
+        assert sorted(p1.tolist()) == list(range(n))
+        assert ((lead[n:] >= 0) & (lead[n:] < n)).all()
+        p2 = p1[lead[n:]]  # the rows of L^T, by backward place
+        assert sorted(p2.tolist()) == list(range(n))
+        assert sorted(f._out.tolist()) == list(range(n, 2 * n))
+        assert f._out[p2].tolist() == list(range(n, 2 * n))
+        position = np.repeat(np.arange(2 * n), np.diff(sptr))
+        rest = np.ones(scol.size, dtype=bool)
+        rest[sptr[:-1]] = False
+        forward = rest & (position < n)
+        assert (scol[forward] < position[forward]).all()
+        backward = rest & (position >= n)
+        assert ((scol[backward] >= n) & (scol[backward] < position[backward])).all()
+        for half, order, rank, length in (
+                (slice(0, n), p1, level, np.diff(ptr)),
+                (slice(n, 2 * n), p2, -level, np.bincount(col, minlength=n))):
+            assert np.diff(sptr)[half].tolist() == (length[order] + 1).tolist()
             key = list(zip(rank[order].tolist(), length[order].tolist()))
             assert key == sorted(key)
 
@@ -444,12 +467,12 @@ class TestApply:
     @pytest.mark.parametrize("name", list(APPLY_GRAPHS))
     def test_arrays_equal_the_strict_lower_construction(self, name):
         f = ic0_factorize(build_laplacian(APPLY_GRAPHS[name]()))
-        got = (*f._gathers, *f._forward, *f._backward)
+        got = (*f._system, f._out)
         for g, want in zip(got, reference_apply_arrays(f.l), strict=True):
             assert g.tobytes() == want.astype(g.dtype).tobytes()
-        # the gathers index natively, the sweeps with int32
-        assert [g.dtype for g in got] == (
-            [np.intp, np.float64] * 2 + [np.intp] + [np.int32, np.int32, np.float64] * 2)
+        # csr_matvec takes int32 where 3n and the entries fit; the gather
+        # indexes natively
+        assert [g.dtype for g in got] == [np.int32, np.int32, np.float64, np.intp]
 
     @pytest.mark.parametrize("n, rows, cols", [
         (3, [0, 1, 2], [0, 0, 2]),
@@ -480,24 +503,28 @@ def reference_levels(l):
 
 
 def reference_apply_arrays(l):
-    """Ic0Factor's gathers (p1, dinv[p1], positions of p2 in the forward
-    sweep, dinv[p2], positions of the rows in the backward sweep) and its
-    forward and backward sweep arrays, built from _strict_lower and a
-    sort by (level, length, row) in Python."""
+    """Ic0Factor's stacked system (row pointer, columns, values) and the
+    places of w it gathers, built row by row from _strict_lower and a sort
+    by (level, length, row) in Python.  Slots 0..n-1 hold y, n..2n-1 w and
+    2n..3n-1 r."""
     n = l.n
     lower, row, col, ptr = _strict_lower(l)
     val, d = l.values[lower], l.diagonal()
     level = reference_levels(l)
     flen, blen = np.diff(ptr), np.bincount(col, minlength=n)
-    p1 = np.array(sorted(range(n), key=lambda i: (level[i], flen[i], i)), dtype=np.intp)
-    p2 = np.array(sorted(range(n), key=lambda k: (-level[k], blen[k], k)), dtype=np.intp)
+    p1 = sorted(range(n), key=lambda i: (level[i], flen[i], i))
+    p2 = sorted(range(n), key=lambda k: (-level[k], blen[k], k))
     q1, q2 = np.argsort(p1), np.argsort(p2)
-    # row i of L in increasing column; row k of L^T, column k of L, in increasing row
-    fe = np.concatenate([np.arange(ptr[i], ptr[i + 1]) for i in p1])
-    be = np.concatenate([np.flatnonzero(col == k) for k in p2])
-    return (p1, (1.0 / d)[p1], q1[p2], (1.0 / d)[p2], q2,
-            np.concatenate([[0], np.cumsum(flen[p1])]), q1[col[fe]], (-val / d[row])[fe],
-            np.concatenate([[0], np.cumsum(blen[p2])]), q2[row[be]], (-val / d[col])[be])
+    rows = []
+    for i in p1:  # row i of L: 1/l_ii on r_i, then -l_ij / l_ii on y_j, increasing j
+        rows.append([(2 * n + i, 1.0 / d[i])]
+                    + [(q1[col[e]], -val[e] / d[i]) for e in range(ptr[i], ptr[i + 1])])
+    for k in p2:  # row k of L^T: 1/l_kk on y_k, then -l_ik / l_kk on w_i, increasing i
+        rows.append([(q1[k], 1.0 / d[k])]
+                    + [(n + q2[row[e]], -val[e] / d[k]) for e in np.flatnonzero(col == k)])
+    entries = [e for r in rows for e in r]
+    return (np.cumsum([0] + [len(r) for r in rows]), np.array([c for c, _ in entries]),
+            np.array([v for _, v in entries]), n + q2)
 
 
 @pytest.mark.parametrize("size", [1, 2**8, 2**8 + 1, 2**16, 2**16 + 1])
@@ -561,3 +588,45 @@ def test_private_csr_matvec_sums_each_row_in_stored_order(itype):
     y = y0.copy()
     csr_matvec(n, n, ptr, col, val, x, y)
     assert y.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("itype", [np.int32, np.int64])
+def test_private_csr_matvec_in_place_on_a_longer_buffer(itype):
+    # Ic0Factor.apply runs csr_matvec(2n, 3n, ptr, col, val, buf, buf) on
+    # one buffer of 3n slots: row i may read any slot, rows before it
+    # already updated, and writes slot i only; the slots past n_row stay
+    rng = np.random.default_rng(7)
+    n_row, n_col = 8, 20
+    counts = rng.integers(0, 6, n_row)
+    ptr = np.concatenate([[0], np.cumsum(counts)]).astype(itype)
+    col = rng.integers(0, n_col, ptr[-1]).astype(itype)
+    val = rng.standard_normal(ptr[-1])
+    buf = rng.standard_normal(n_col)
+    want = buf.copy()
+    for i in range(n_row):
+        s = want[i]
+        for k in range(ptr[i], ptr[i + 1]):
+            s += val[k] * want[col[k]]
+        want[i] = s
+    # some entries read rows updated before them, some slots past n_row
+    rows = np.repeat(np.arange(n_row), counts)
+    assert (col < rows).any() and (col >= n_row).any()
+    csr_matvec(n_row, n_col, ptr, col, val, buf, buf)
+    assert buf.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("itype", [np.int32, np.int64])
+def test_private_coo_tocsr_keeps_each_rows_entries_in_given_order(itype):
+    # Ic0Factor's constructor puts each row's leading entry first by giving
+    # it first: coo_tocsr is a stable counting sort by row, columns unsorted
+    rng = np.random.default_rng(8)
+    n_row, n_col, nnz = 9, 30, 70
+    rows = rng.integers(0, n_row - 1, nnz).astype(itype)  # the last row empty
+    cols = rng.integers(0, n_col, nnz).astype(itype)
+    vals = rng.standard_normal(nnz)
+    ptr, col, val = np.empty(n_row + 1, itype), np.empty(nnz, itype), np.empty(nnz)
+    coo_tocsr(n_row, n_col, nnz, rows, cols, vals, ptr, col, val)
+    order = np.argsort(rows, kind="stable")
+    assert ptr.tolist() == [0, *np.cumsum(np.bincount(rows, minlength=n_row)).tolist()]
+    assert col.tolist() == cols[order].tolist()
+    assert val.tobytes() == vals[order].tobytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from lapeig.kernels import GramSchmidtBreakdown, dense_sym_eig, mgs_orthonormalize
+from lapeig.kernels import GramSchmidtBreakdown, _norm, dense_sym_eig, mgs_orthonormalize
 from lapeig.pcg import DeflationBasis
 
 
@@ -114,6 +114,33 @@ class TestDenseSymEig:
         with pytest.raises(ValueError):
             dense_sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_exactly_symmetric_input_gives_the_symmetrized_bytes(self, rng, n):
+        # an exactly symmetric h skips the symmetrization, which would give
+        # back h bit for bit
+        m = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-8, 8, (n, n))
+        h = m + m.T
+        vals, vecs = dense_sym_eig(h)
+        want_vals, want_vecs = np.linalg.eigh(0.5 * (h + h.T))
+        assert vals.tobytes() == want_vals.tobytes()
+        assert vecs.tobytes() == want_vecs.tobytes()
+
+    def test_still_refuses_input_off_by_1e9(self):
+        h = np.array([[2.0, 1.0], [1.0 + 1e-9, 2.0]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            dense_sym_eig(h)
+
     def test_rejects_oversized_problems(self):
         with pytest.raises(ValueError):
             dense_sym_eig(np.eye(513))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 3001, 20000])
+def test_norm_is_bitwise_numpys(rng, n):
+    # the solvers' per-iteration norms rely on this: for a contiguous 1-D
+    # float64 vector, np.linalg.norm computes sqrt(v.dot(v))
+    for scale in (1e-140, 1.0, 1e140):
+        v = rng.standard_normal(n) * scale
+        assert np.float64(_norm(v)).tobytes() == np.float64(np.linalg.norm(v)).tobytes()
+    for v in (np.zeros(n), np.full(n, -0.0)):
+        assert np.float64(_norm(v)).tobytes() == np.float64(np.linalg.norm(v)).tobytes()

@@ -146,24 +146,32 @@ class TestPcgSolve:
         # solution actually solves the system on the complement
         assert np.linalg.norm(kb.project_out(spmv(l, out.solution)) - b) <= 1e-8
 
-    def test_projects_operator_output_and_preconditioned_residual(self, rng):
+    @pytest.mark.parametrize("maxit", [300, 1, 5])
+    def test_projects_operator_output_and_preconditioned_residual(self, rng, maxit):
         l = build_laplacian(random_connected_graph(30, extra_edges=40, seed=2, weighted=True))
-        kb = kernel_basis(30)
-        calls = []
+        kb, f = kernel_basis(30), ic0_factorize(l)
+        projections, applies = [], []
 
         class CountingBasis:
             k = kb.k
 
             def project_out(self, v):
-                calls.append(1)
+                projections.append(1)
                 return kb.project_out(v)
 
-        out = pcg_solve(l, ic0_factorize(l), rng.standard_normal(30), 1e-10, 300,
+        class CountingFactor:
+            def apply(self, r):
+                applies.append(1)
+                return f.apply(r)
+
+        out = pcg_solve(l, CountingFactor(), rng.standard_normal(30), 1e-10, maxit,
                         deflation=CountingBasis())
-        assert out.converged
-        # b and the first z, then A p and z each iteration; the converged
-        # last iteration needs no z
-        assert len(calls) == 2 * out.iterations + 1
+        assert out.converged == (maxit == 300)
+        assert out.converged or out.iterations == maxit
+        # b and the first z, then A p each iteration and z for all but the
+        # last: neither a converged nor a capped last iteration needs a z
+        assert len(projections) == 2 * out.iterations + 1
+        assert len(applies) == out.iterations
 
     def test_zero_rhs_short_circuits(self):
         a = CsrMatrix.identity(4)
