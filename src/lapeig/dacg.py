@@ -57,7 +57,10 @@ def dacg_smallest(a, neig, delta=1e-6, f=None, null_basis=None, *, seed=0,
                                      seed=seed, maxit_per_pair=_MAXIT_PER_PAIR)
     kernel = guard.prefix(guard.k)  # before any pair is locked
     rng = np.random.default_rng(seed)
-    reset_period = max(1, a.n // 10)
+    # beta = 0 every reset_period steps: Powell's (1977) n-step period up to
+    # n = 50, so a small graph is not run as steepest descent (which stalls
+    # where two eigenvalues nearly coincide), and n // 10 on large graphs
+    reset_period = max(a.n // 10, min(a.n, 50))
 
     per_pair = []
     for pair_idx in range(neig):

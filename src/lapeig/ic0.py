@@ -47,13 +47,13 @@ rows by level upwards: a leading 1/l_ii on r_i, then -l_ij / l_ii on y
 in increasing j.  Rows n..2n-1 are L^T's by level downwards: 1/l_kk on y
 at row k's place, then -l_ik / l_kk on w in increasing i.  A level's
 rows, which read none of each other, go by length: csr_matvec ends a row
-on a data-dependent exit, which mispredicts where lengths scatter.  The
-levels are the plan's, or found anew from L alone.  y and w start at
--0.0, the exact additive identity (-0.0 + t == t for every t; a +0.0
-start would turn a -0.0 sum into +0.0), and one gather takes w back to
-row order.  Each row sees the same operations in the same order as a
-row-by-row loop, so the bits are the same; there is no per-level call,
-no BLAS and no state kept between calls.
+on a data-dependent exit, which mispredicts where lengths scatter.  y
+and w start at -0.0, the exact additive identity (-0.0 + t == t for
+every t; a +0.0 start would turn a -0.0 sum into +0.0), and one gather
+takes w back to row order.  Each row sees the same operations in the
+same order as a row-by-row loop, so the bits are the same; there is no
+per-level call, no BLAS and no state kept between calls.  The stacked
+system is all the factor keeps: no L is assembled on the way.
 """
 
 import numpy as np
@@ -72,37 +72,24 @@ class Ic0Error(RuntimeError):
 
 
 class Ic0Factor:
-    """Lower-triangular incomplete Cholesky factor with its metadata.
+    """Incomplete Cholesky factor L, kept only as its stacked system.
 
-    apply(r) solves (L L^T) z = r by one in-place csr_matvec call (see
-    the module docstring), leaving r untouched.  l must be lower triangular
-    with every diagonal entry stored, the last entry of its row; otherwise
-    the constructor raises ValueError.
+    Built by ic0_factorize and identity_factor from a plan and the values
+    of L in the plan's entry order, v strictly below the diagonal and d on
+    it.  apply(r) solves (L L^T) z = r by one in-place csr_matvec call
+    (see the module docstring), leaving r untouched.
     """
 
-    __slots__ = ("l", "shift", "attempts", "_system", "_out")
+    __slots__ = ("n", "shift", "attempts", "_system", "_out")
 
-    def __init__(self, l, shift, attempts, *, _level=None):
-        self.l = l
+    def __init__(self, plan, v, d, shift, attempts):
         self.shift = float(shift)
         self.attempts = int(attempts)
-        n = l.n
-        # each row of L ends with its diagonal: the check that every row's
-        # last entry is in its own column also fails for an empty row
-        last = l.row_ptr[1:] - 1
-        if l.nnz < n or not np.array_equal(l.col_idx[last], np.arange(n)):
-            raise ValueError("L must be lower triangular with every diagonal entry stored")
-        ptr = l.row_ptr - np.arange(n + 1)
-        row = np.repeat(np.arange(n), np.diff(ptr))
-        m = row.size
-        off = np.arange(m) + row  # rows before row i hold i diagonals
-        col, val = l.col_idx[off], l.values[off]
-        d = l.values[last]
-        # ic0_factorize passes the levels its plan found for this pattern
-        level, nlev = _levels(n, ptr, row, col) if _level is None else _level
+        self.n = n = plan.n
+        row, col, m = plan.row, plan.col, plan.row.size
         # rows of L by level upwards, rows of L^T (columns of L) downwards
-        p1 = _sweep_order(level, nlev, np.diff(ptr))
-        p2 = _sweep_order(nlev - 1 - level, nlev, np.bincount(col, minlength=n))
+        p1 = _sweep_order(plan.level, plan.nlev, np.diff(plan.ptr))
+        p2 = _sweep_order(plan.nlev - 1 - plan.level, plan.nlev, np.bincount(col, minlength=n))
         # rows 0..n-1 solve L y = r, rows n..2n-1 L^T w = y: row i of L at
         # q1[i] leads with r_i, row k of L^T at n + q2[k] with y at q1[k];
         # coo_tocsr is a stable counting sort by row, so each lead stays first
@@ -112,12 +99,12 @@ class Ic0Factor:
         self._system = np.empty(2 * n + 1, dtype=itype), np.empty(nnz, dtype=itype), np.empty(nnz)
         coo_tocsr(2 * n, 3 * n, nnz, np.concatenate((q1, n + q2, q1[row], n + q2[col])),
                   np.concatenate((np.arange(2 * n, 3 * n, dtype=itype), q1, q1[col], n + q2[row])),
-                  np.concatenate((dinv, dinv, -val / d[row], -val / d[col])), *self._system)
+                  np.concatenate((dinv, dinv, -v / d[row], -v / d[col])), *self._system)
         self._out = (n + q2).astype(np.intp)  # numpy converts other indices before a gather
 
     def apply(self, r):
         r = np.asarray(r, dtype=np.float64)
-        n = self.l.n
+        n = self.n
         if r.shape != (n,):
             raise ValueError("vector length does not match factor dimension")
         # [y | w | r], y and w starting at -0.0, the additive identity
@@ -169,11 +156,16 @@ def _strict_lower(a):
 
 
 class _Plan:
-    """Symbolic phase: the pattern of L and the level schedule."""
+    """Symbolic phase: the pattern of L and the level schedule.
+
+    L's strictly lower entries are A's, in A's order: entry e in row
+    row[e] and column col[e], with row i's entries at ptr[i]:ptr[i + 1].
+    """
 
     def __init__(self, a):
-        n = a.n
+        self.n = n = a.n
         lower, row, col, ptr = _strict_lower(a)
+        self.row, self.col, self.ptr = row, col, ptr
         m = row.size
 
         # triangles (e, ip, kp): positions of (i, k), (i, p) and (k, p),
@@ -216,15 +208,9 @@ class _Plan:
         self.rptr, self.dptr, self.eptr, self.tptr = (
             p.tolist() for p in (rptr, dptr, eptr, tptr))
 
-        # L's pattern is A's lower triangle with the diagonal last in each row
-        self.n = n
-        self.lptr = ptr + np.arange(n + 1)
-        self.lcol = np.insert(col, ptr[1:], np.arange(n))
-        self.off_at = np.arange(m) + row
-        self.diag_at = self.lptr[1:] - 1
-
     def factor(self, diag, alpha):
-        """L for A + alpha * diag(A), or None if a pivot fails."""
+        """L for A + alpha * diag(A) as (v, d), its strictly lower values in
+        the plan's entry order and its pivots, or None if a pivot fails."""
         d = diag * (1.0 + alpha)
         floor = _PIVOT_FLOOR * np.abs(d)
         v = self.start.copy()
@@ -242,10 +228,7 @@ class _Plan:
             np.subtract.at(v, self.target[lo:hi], v[self.ip[lo:hi]] * v[self.kp[lo:hi]])
             lo, hi = self.eptr[r], self.eptr[r + 1]
             v[self.entries[lo:hi]] /= d[self.pivot_of[lo:hi]]
-        vals = np.empty(self.lcol.size)
-        vals[self.off_at] = v
-        vals[self.diag_at] = d
-        return CsrMatrix(self.n, self.lptr, self.lcol, vals)
+        return v, d
 
 
 def ic0_factorize(a):
@@ -266,9 +249,9 @@ def ic0_factorize(a):
         shifts.append(last)
     plan = _Plan(a)
     for attempts, alpha in enumerate(shifts, start=1):
-        l = plan.factor(diag, alpha)
-        if l is not None:
-            return Ic0Factor(l, alpha, attempts, _level=(plan.level, plan.nlev))
+        values = plan.factor(diag, alpha)
+        if values is not None:
+            return Ic0Factor(plan, *values, alpha, attempts)
     raise Ic0Error(
         f"pivot breakdown at every shift in {[f'{s:.1e}' for s in shifts]}"
     )
@@ -276,4 +259,6 @@ def ic0_factorize(a):
 
 def identity_factor(n):
     """Factor whose application is the identity, for unpreconditioned runs."""
-    return Ic0Factor(CsrMatrix.identity(n), 0.0, 0)
+    # the plan of I factors at shift 0 to L = I exactly
+    plan = _Plan(CsrMatrix.identity(n))
+    return Ic0Factor(plan, *plan.factor(np.ones(n), 0.0), 0.0, 0)

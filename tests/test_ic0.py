@@ -25,8 +25,8 @@ from lapeig.ic0 import (
     _PIVOT_FLOOR,
     SHIFT_SCHEDULE,
     Ic0Error,
-    Ic0Factor,
     _grouped,
+    _Plan,
     _strict_lower,
     ic0_factorize,
     identity_factor,
@@ -106,10 +106,21 @@ def assert_matches_reference(a):
         return
     f = ic0_factorize(a)
     assert (f.shift, f.attempts) == (shift, attempts)
-    assert np.array_equal(f.l.row_ptr, want.row_ptr)
-    assert np.array_equal(f.l.col_idx, want.col_idx)
+    l = factor_l(a, f)
+    assert np.array_equal(l.row_ptr, want.row_ptr)
+    assert np.array_equal(l.col_idx, want.col_idx)
     # bit for bit, without a slow diff of the bytes on failure
-    assert np.array_equal(f.l.values.view(np.int64), want.values.view(np.int64))
+    assert np.array_equal(l.values.view(np.int64), want.values.view(np.int64))
+
+
+def factor_l(a, f):
+    """L of f = ic0_factorize(a), assembled from the plan's values at f's
+    shift: A's strictly lower pattern with each row's diagonal last."""
+    plan = _Plan(a)
+    v, d = plan.factor(a.diagonal(), f.shift)
+    diag = np.arange(a.n)
+    return CsrMatrix.from_coo(a.n, np.concatenate((plan.row, diag)),
+                              np.concatenate((plan.col, diag)), np.concatenate((v, d)))
 
 
 def relabel(edges, order):
@@ -146,10 +157,6 @@ def arrow_spd(n):
     return CsrMatrix.from_coo(n, rows, cols, vals, symmetric=True)
 
 
-def factor_dense(f):
-    return f.l.toarray()
-
-
 class TestNoFillExactness:
     def test_tridiagonal_equals_dense_cholesky(self):
         for n in (2, 5, 12, 40):
@@ -157,13 +164,13 @@ class TestNoFillExactness:
             f = ic0_factorize(a)
             assert f.shift == 0.0
             want = np.linalg.cholesky(a.toarray())
-            assert np.abs(factor_dense(f) - want).max() <= 1e-14
+            assert np.abs(factor_l(a, f).toarray() - want).max() <= 1e-14
 
     def test_arrow_equals_dense_cholesky(self):
         a = arrow_spd(9)
         f = ic0_factorize(a)
         want = np.linalg.cholesky(a.toarray())
-        assert np.abs(factor_dense(f) - want).max() <= 1e-13
+        assert np.abs(factor_l(a, f).toarray() - want).max() <= 1e-13
 
     def test_apply_inverts_no_fill_matrices(self, rng):
         for a in (tridiag_spd(15), arrow_spd(11)):
@@ -176,10 +183,10 @@ class TestNoFillExactness:
     def test_factor_pattern_equals_lower_triangle(self):
         g = random_connected_graph(25, extra_edges=30, seed=5, weighted=True)
         l = build_laplacian(g)
-        f = ic0_factorize(l)
+        fl = factor_l(l, ic0_factorize(l))
         a_lower = {(i, int(c)) for i in range(l.n)
                    for c in l.row(i)[0] if c <= i}
-        f_pos = {(i, int(c)) for i in range(f.l.n) for c in f.l.row(i)[0]}
+        f_pos = {(i, int(c)) for i in range(fl.n) for c in fl.row(i)[0]}
         assert f_pos == a_lower
 
 
@@ -273,8 +280,24 @@ class TestScaling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert f.l.nnz == 2 * a.n - 1
+        # the stacked system holds 2 (n + m) entries, m = n - 1 strictly lower
+        assert f._system[1].size == 2 * (a.n + a.n - 1)
         assert peak < 10_000_000
+
+    def test_factor_holds_only_its_stacked_system(self):
+        # once built, the factor keeps its system and the gather's places
+        # and nothing else: no L, no plan.  The 8 KB slack covers the
+        # object, tuple and array headers, which read about 4 KB
+        ic0_factorize(build_laplacian(path_graph(5)))  # first-call caches
+        a = build_laplacian(random_connected_graph(20000, 50000, seed=1000))
+        tracemalloc.start()
+        try:
+            f = ic0_factorize(a)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        own = sum(x.nbytes for x in (*f._system, f._out))
+        assert own <= held <= own + 8192
 
     def test_long_path_has_one_level_per_node(self):
         # 50000 levels: any O(n) work per level would be quadratic
@@ -287,7 +310,8 @@ class TestScaling:
         # a tridiagonal matrix has no fill: L L^T is the shifted matrix
         shifted = a.csr.copy()
         shifted.setdiag(a.diagonal() * (1.0 + f.shift))
-        assert abs(f.l.csr @ f.l.csr.T - shifted).max() <= 1e-12
+        l = factor_l(a, f).csr
+        assert abs(l @ l.T - shifted).max() <= 1e-12
 
 
 class TestPreconditioning:
@@ -315,10 +339,10 @@ class TestPreconditioning:
             assert fancy.iterations < plain.iterations
 
 
-def reference_apply(f, r):
+def reference_apply(l, r):
     """(L L^T)^-1 r by scipy's triangular solves, with L and then L^T."""
-    y = spsolve_triangular(f.l.csr, r, lower=True)
-    return spsolve_triangular(csr_array(f.l.csr.T), y, lower=False)
+    y = spsolve_triangular(l.csr, r, lower=True)
+    return spsolve_triangular(csr_array(l.csr.T), y, lower=False)
 
 
 def hard_vectors(rng, n):
@@ -337,7 +361,7 @@ def spread_weights(g, seed):
     return EdgeList(g.n_nodes, g.i, g.j, w)
 
 
-def reference_substitution(f, r):
+def reference_substitution(l, r):
     """(L L^T)^-1 r by a row-by-row loop in the order apply documents.
 
     With dinv = 1 / diag(L): row i of L y = r starts at r_i * dinv_i and
@@ -346,13 +370,13 @@ def reference_substitution(f, r):
     (-l_ik / l_kk) * z_i over its stored i > k in increasing i, for
     k = n - 1, ..., 0.
     """
-    n = f.l.n
-    d = f.l.diagonal()
+    n = l.n
+    d = l.diagonal()
     dinv = 1.0 / d
     upper = [[] for _ in range(n)]  # (i, l_ik) of column k, in increasing i
     y = r * dinv
     for i in range(n):
-        cols, vals = f.l.row(i)
+        cols, vals = l.row(i)
         s = y[i]
         for j, v in zip(cols[:-1], vals[:-1]):
             s += (-v / d[i]) * y[j]
@@ -384,28 +408,32 @@ class TestApply:
 
     @pytest.mark.parametrize("name", list(APPLY_GRAPHS))
     def test_matches_triangular_solves(self, rng, name):
-        f = ic0_factorize(build_laplacian(APPLY_GRAPHS[name]()))
+        a = build_laplacian(APPLY_GRAPHS[name]())
+        f = ic0_factorize(a)
+        l = factor_l(a, f)
         for _ in range(3):
-            r = rng.standard_normal(f.l.n)
-            want = reference_apply(f, r)
+            r = rng.standard_normal(f.n)
+            want = reference_apply(l, r)
             assert np.linalg.norm(f.apply(r) - want) <= 1e-13 * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("from_l", [False, True], ids=["ic0_factorize", "from l alone"])
     @pytest.mark.parametrize("name", [*APPLY_GRAPHS, "weighted, denser", "identity"])
-    def test_bitwise_the_row_by_row_substitution(self, rng, name, from_l):
+    def test_bitwise_the_row_by_row_substitution(self, rng, name):
         # the sweeps take the rows in their own orders; every row must still
-        # sum the same terms in the same order as the loop in index order
+        # sum the same terms in the same order as the loop in index order,
+        # on the L of the row-by-row reference factorization
         if name == "identity":
-            f = identity_factor(50)
-        elif name == "weighted, denser":
-            f = ic0_factorize(build_laplacian(
-                spread_weights(random_connected_graph(300, extra_edges=700, seed=5), 5)))
+            a, f = CsrMatrix.identity(50), identity_factor(50)
         else:
-            f = ic0_factorize(build_laplacian(APPLY_GRAPHS[name]()))
-        if from_l:
-            f = Ic0Factor(f.l, f.shift, f.attempts)
-        for r in hard_vectors(rng, f.l.n):
-            assert f.apply(r).tobytes() == reference_substitution(f, r).tobytes()
+            if name == "weighted, denser":
+                g = spread_weights(random_connected_graph(300, extra_edges=700, seed=5), 5)
+            else:
+                g = APPLY_GRAPHS[name]()
+            a = build_laplacian(g)
+            f = ic0_factorize(a)
+        l, shift, _ = reference_ic0(a)
+        assert shift == f.shift
+        for r in hard_vectors(rng, f.n):
+            assert f.apply(r).tobytes() == reference_substitution(l, r).tobytes()
 
     @pytest.mark.parametrize("name", list(APPLY_GRAPHS))
     def test_each_sweep_reads_only_rows_placed_before_it(self, name):
@@ -415,10 +443,12 @@ class TestApply:
         # leads with y at row k's forward place, then reads w of backward
         # rows before it.  The forward half takes the levels upwards, the
         # backward downwards, each level's rows by nondecreasing length.
-        f = ic0_factorize(build_laplacian(APPLY_GRAPHS[name]()))
-        n = f.l.n
-        _, row, col, ptr = _strict_lower(f.l)
-        level = reference_levels(f.l)
+        a = build_laplacian(APPLY_GRAPHS[name]())
+        f = ic0_factorize(a)
+        n = f.n
+        l = factor_l(a, f)
+        _, row, col, ptr = _strict_lower(l)
+        level = reference_levels(l)
         sptr, scol, _ = f._system
         assert sptr.size == 2 * n + 1 and sptr[0] == 0 and sptr[-1] == scol.size
         lead = scol[sptr[:-1]]
@@ -444,10 +474,13 @@ class TestApply:
             assert key == sorted(key)
 
     def test_one_row_factor(self, rng):
-        # a one-node Laplacian is zero and has no factor, so L is given
-        f = Ic0Factor(CsrMatrix.from_coo(1, [0], [0], [1.5]), 0.0, 0)
+        # a one-node Laplacian is zero and has no factor, so A is given
+        a = CsrMatrix.from_coo(1, [0], [0], [1.5], symmetric=True)
+        f = ic0_factorize(a)
+        assert (f.shift, f.attempts) == (0.0, 1)
         r = rng.standard_normal(1)
-        assert np.allclose(f.apply(r), reference_apply(f, r), rtol=1e-15, atol=0.0)
+        assert np.allclose(f.apply(r), reference_apply(factor_l(a, f), r), rtol=1e-15, atol=0.0)
+        assert np.allclose(f.apply(r), r / 1.5, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("n", [1, 7, 1000])
     def test_identity_factor_is_exact(self, rng, n):
@@ -457,7 +490,7 @@ class TestApply:
 
     def test_leaves_r_alone_and_repeats_its_bits(self, rng):
         f = ic0_factorize(build_laplacian(geometric_graph(800, 0.06)))
-        r = rng.standard_normal(f.l.n)
+        r = rng.standard_normal(f.n)
         kept = r.copy()
         first = f.apply(r)
         assert np.array_equal(r, kept)
@@ -466,30 +499,14 @@ class TestApply:
 
     @pytest.mark.parametrize("name", list(APPLY_GRAPHS))
     def test_arrays_equal_the_strict_lower_construction(self, name):
-        f = ic0_factorize(build_laplacian(APPLY_GRAPHS[name]()))
+        a = build_laplacian(APPLY_GRAPHS[name]())
+        f = ic0_factorize(a)
         got = (*f._system, f._out)
-        for g, want in zip(got, reference_apply_arrays(f.l), strict=True):
+        for g, want in zip(got, reference_apply_arrays(factor_l(a, f)), strict=True):
             assert g.tobytes() == want.astype(g.dtype).tobytes()
         # csr_matvec takes int32 where 3n and the entries fit; the gather
         # indexes natively
         assert [g.dtype for g in got] == [np.int32, np.int32, np.float64, np.intp]
-
-    @pytest.mark.parametrize("n, rows, cols", [
-        (3, [0, 1, 2], [0, 0, 2]),
-        (2, [1, 1], [0, 1]),
-        (1, [], []),
-        (2, [0, 0, 1], [0, 1, 1]),
-    ], ids=["row 1 without diagonal", "row 0 empty", "no entries", "entry above diagonal"])
-    def test_l_without_its_diagonal_last_is_refused(self, n, rows, cols):
-        l = CsrMatrix.from_coo(n, rows, cols, np.ones(len(rows)))
-        with pytest.raises(ValueError, match="every diagonal entry stored"):
-            Ic0Factor(l, 0.0, 0)
-
-    def test_factor_built_from_l_alone_applies_the_same(self, rng):
-        f = ic0_factorize(build_laplacian(random_connected_graph(2000, 5000, seed=2)))
-        g = Ic0Factor(f.l, f.shift, f.attempts)
-        r = rng.standard_normal(f.l.n)
-        assert g.apply(r).tobytes() == f.apply(r).tobytes()
 
 
 def reference_levels(l):
