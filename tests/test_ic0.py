@@ -416,11 +416,13 @@ class TestApply:
             want = reference_apply(l, r)
             assert np.linalg.norm(f.apply(r) - want) <= 1e-13 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("source", ["ic0_factorize", "reference_ic0"])
     @pytest.mark.parametrize("name", [*APPLY_GRAPHS, "weighted, denser", "identity"])
-    def test_bitwise_the_row_by_row_substitution(self, rng, name):
+    def test_bitwise_the_row_by_row_substitution(self, rng, name, source):
         # the sweeps take the rows in their own orders; every row must still
         # sum the same terms in the same order as the loop in index order,
-        # on the L of the row-by-row reference factorization
+        # on the L of the factor's own values or of the row-by-row
+        # reference factorization
         if name == "identity":
             a, f = CsrMatrix.identity(50), identity_factor(50)
         else:
@@ -430,8 +432,11 @@ class TestApply:
                 g = APPLY_GRAPHS[name]()
             a = build_laplacian(g)
             f = ic0_factorize(a)
-        l, shift, _ = reference_ic0(a)
-        assert shift == f.shift
+        if source == "ic0_factorize":
+            l = factor_l(a, f)
+        else:
+            l, shift, _ = reference_ic0(a)
+            assert shift == f.shift
         for r in hard_vectors(rng, f.n):
             assert f.apply(r).tobytes() == reference_substitution(l, r).tobytes()
 
@@ -482,11 +487,19 @@ class TestApply:
         assert np.allclose(f.apply(r), reference_apply(factor_l(a, f), r), rtol=1e-15, atol=0.0)
         assert np.allclose(f.apply(r), r / 1.5, rtol=1e-15, atol=0.0)
 
-    @pytest.mark.parametrize("n", [1, 7, 1000])
+    @pytest.mark.parametrize("n", [0, 1, 7, 1000])
     def test_identity_factor_is_exact(self, rng, n):
         f = identity_factor(n)
+        assert (f.n, f.shift, f.attempts) == (n, 0.0, 0)
         v = rng.standard_normal(n)
         assert np.array_equal(f.apply(v), v)
+
+    @pytest.mark.parametrize("r", [np.ones(4), np.ones(6), np.ones((5, 1)), 1.0],
+                             ids=["shorter", "longer", "column", "scalar"])
+    def test_apply_refuses_a_vector_of_another_shape(self, r):
+        f = ic0_factorize(tridiag_spd(5))
+        with pytest.raises(ValueError, match="does not match factor dimension"):
+            f.apply(r)
 
     def test_leaves_r_alone_and_repeats_its_bits(self, rng):
         f = ic0_factorize(build_laplacian(geometric_graph(800, 0.06)))
