@@ -12,16 +12,17 @@ upper triangle (i, j), the Laplacian's triplets bring each row's
 columns in increasing order, and scipy's COO to CSR pass keeps the
 input order within a row, so no row is sorted.
 
-Each format has one reader, a loop over the lines of the file.  Past
-the node-count or size line it hands the rest of the file to numpy's C
+Each format has one reader.  It strips the format's comments first,
+newlines kept: # to the end of the line in an edge list, each line after
+the first whose text starts with % in Matrix Market.  A loop over the
+lines then reads the count or size line and hands the rest to numpy's C
 text parser (np.loadtxt), straight into int64, int64 and float64
-columns, and checks every row with one vectorized mask.  Where that read
-might differ from the loop it is refused, and the loop reads on: a byte
-outside ASCII that no comment holds or a separator 0x1c-0x1f (loadtxt
-splits on them, bytes.split() does not), any loadtxt error or warning,
-a failed row check, a duplicate without symmetrize, and in Matrix Market
-a % after a field.  The loop names the first failing row and its line;
-its int() and float() also take a few fields loadtxt refuses (1_0).
+columns, checking every row with one vectorized mask.  That read is
+refused, and the loop reads on, for a byte outside ASCII or a separator
+0x1c-0x1f in the file (loadtxt splits on them, bytes.split() does not), a
+loadtxt error or warning, a failed row check, or a duplicate without
+symmetrize.  The loop names the first failing row and its line; its
+int() and float() also take a few fields loadtxt refuses (1_0).
 """
 
 import contextlib
@@ -155,10 +156,12 @@ def _merge_rows(n, symmetrize, i, j, w, rows=None):
 
 
 def _parse_edge_list(data, symmetrize):
+    if b"#" in data:
+        data = _HASH_COMMENT.sub(b"", data)
     stream, n = io.BytesIO(data), None
     columns = array("q"), array("q"), array("d"), array("q")  # i, j, w, line
     for line, raw in enumerate(stream, 1):
-        text = raw.split(b"#", 1)[0].strip()
+        text = raw.strip()
         fields = text.split()
         if not fields:
             continue
@@ -172,7 +175,7 @@ def _parse_edge_list(data, symmetrize):
             if n < 1:
                 raise GraphFormatError("node count must be positive", line)
             with contextlib.suppress(_Refused):
-                i, j, w = _loadtxt(data, stream.tell(), "#", "ijw")
+                i, j, w = _loadtxt(data, stream.tell(), "ijw")
                 if not np.any((i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j)
                               | ~np.isfinite(w) | ~(w > 0)):
                     return _merge_rows(n, symmetrize, i, j, w)
@@ -217,11 +220,15 @@ def _matrix_market_field(stream):
 def _parse_matrix_market(data, symmetrize):
     stream = io.BytesIO(data)
     names = "ij" if _matrix_market_field(stream) == "pattern" else "ijw"
+    if data.find(b"%", stream.tell()) >= 0:
+        data = _PERCENT_LINE.sub(b"\n", data)
+        stream = io.BytesIO(data)
+        stream.readline()
     size, entries = None, 0
     columns = array("q"), array("q"), array("d"), array("q")  # i, j, w, line
     for line, raw in enumerate(stream, 2):
         text = raw.strip()
-        if not text or text.startswith(b"%"):  # after line 1, % opens a comment line
+        if not text:
             continue
         fields = text.split()
         if size is None:
@@ -236,11 +243,7 @@ def _parse_matrix_market(data, symmetrize):
             if size < 1:
                 raise GraphFormatError("matrix must have at least one row", line)
             with contextlib.suppress(_Refused):
-                # loadtxt ends a row at any %, the line loop only on a comment line
-                if any(data[data.rfind(b"\n", 0, m.start()) + 1:m.start()].strip()
-                       for m in _PERCENT.finditer(data, stream.tell())):
-                    raise _Refused
-                i, j, *w = _loadtxt(data, stream.tell(), "%", names)
+                i, j, *w = _loadtxt(data, stream.tell(), names)
                 w = w[0] if w else np.ones(i.size)
                 if i.size == nnz and not np.any((i < 1) | (i > size) | (j < 1) | (j > size)
                                                 | ~np.isfinite(w) | ((i != j) & (w == 0))):
@@ -276,7 +279,9 @@ class _Refused(Exception):
     """numpy's C parser does not read these rows as the line loop would."""
 
 
-_PERCENT = re.compile(rb"%.*")
+_HASH_COMMENT = re.compile(rb"#.*")
+# a newline first, not (?m)^: sre then skips to each newline at C speed
+_PERCENT_LINE = re.compile(rb"\n[ \t\v\f]*%.*")
 
 
 def _int64(field):
@@ -287,30 +292,12 @@ def _int64(field):
     return value
 
 
-def _ascii_outside_comments(data, start, comment):
-    """Whether every byte of data past offset start is ASCII, except in
-    comments, which run from the comment character to the end of the line."""
-    if data.isascii():
-        return True
-    codes, at = np.frombuffer(data, dtype=np.uint8), start
-    while (opens := data.find(comment.encode(), at)) >= 0:
-        if codes[at:opens].max(initial=0) >= 0x80:
-            return False
-        at = data.find(b"\n", opens)
-        if at < 0:
-            return True
-    return codes[at:].max(initial=0) < 0x80
-
-
-def _loadtxt(data, start, comment, names):
-    """The named columns (i, j: int64; w: float64) of the rows of data
-    after offset start, parsed by numpy's C tokenizer.  loadtxt splits
-    fields on the separators 0x1c-0x1f and on non-ASCII spaces, where
-    bytes.split() does not, so both are refused: the separators anywhere,
-    a non-ASCII byte unless a comment holds it."""
-    if any(data.find(bytes([c]), start) >= 0 for c in range(0x1c, 0x20)):
-        raise _Refused
-    if not _ascii_outside_comments(data, start, comment):
+def _loadtxt(data, start, names):
+    """The named columns (i, j: int64; w: float64) of the rows of data, a
+    file with no comment, after offset start, parsed by numpy's C tokenizer.
+    loadtxt splits fields on non-ASCII spaces and on 0x1c-0x1f, bytes.split()
+    does not, so a file with a byte outside ASCII or in 0x1c-0x1f is refused."""
+    if not data.isascii() or any(bytes([c]) in data for c in range(0x1c, 0x20)):
         raise _Refused
     stream = io.BytesIO(data)
     stream.seek(start)
@@ -321,7 +308,7 @@ def _loadtxt(data, start, comment, names):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            table = np.loadtxt(stream, dtype=dtype, comments=comment, quotechar=None,
+            table = np.loadtxt(stream, dtype=dtype, comments=None, quotechar=None,
                                ndmin=1, encoding="utf-8")
         except ValueError as err:
             raise _Refused from err

@@ -394,6 +394,10 @@ WELL_FORMED = [
     ("edgelist", "3\n0 1 1.0\n1 2 2.0\n# na\u00efve", [(0, 1, 1.0), (1, 2, 2.0)]),
     ("mtx", MM_HEAD.format("real") + "3 3 2\n2 1 1.5\n% \u00e9t\u00e9 \u2028\n3 2 1.0\n",
      [(0, 1, 1.5), (1, 2, 1.0)]),
+    # and so is a separator 0x1c-0x1f, which loadtxt splits on
+    ("edgelist", "3\n0 1 1.5 # a\x1cb\n1 2 2.0\n", [(0, 1, 1.5), (1, 2, 2.0)]),
+    ("mtx", MM_HEAD.format("real") + "3 3 2\n2 1 1.5\n% a\x1fb\n3 2 1.0\n",
+     [(0, 1, 1.5), (1, 2, 1.0)]),
 ]
 
 # inputs on which np.loadtxt and the line loop disagree: each gives what
