@@ -19,7 +19,7 @@ import inspect
 import numpy as np
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
-from .kernels import DENSE_EIG_MAX_DIM, GramSchmidtBreakdown
+from .kernels import DENSE_EIG_MAX_DIM, GramSchmidtBreakdown, _norm
 from .pcg import DeflationBasis, pcg_solve
 from .results import SolverError, accept_candidate, solver_result, solver_setup, start_vector
 
@@ -67,8 +67,8 @@ def irlm_smallest(a, neig, ncv=None, delta=1e-6, delta_pcg=None, f=None,
     def apply_inverse(v):
         # the target is relative to v itself, kernel part included: relative
         # to a near-kernel v's small complement part, PCG can stall
-        norm_pv = np.linalg.norm(kernel.project_out(v))
-        tol = delta_pcg * np.linalg.norm(v) / norm_pv if norm_pv else delta_pcg
+        norm_pv = _norm(kernel.project_out(v))
+        tol = delta_pcg * _norm(v) / norm_pv if norm_pv else delta_pcg
         out = pcg_solve(a, f, v, tol, _MAXIT_INNER, deflation=kernel, counter=counter)
         if not out.converged:
             raise SolverError(

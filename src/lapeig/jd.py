@@ -17,7 +17,7 @@ frame's acceptance writes the verified vector over u, its one copy.
 
 import numpy as np
 
-from .kernels import GramSchmidtBreakdown, dense_sym_eig, mgs_orthonormalize
+from .kernels import GramSchmidtBreakdown, _norm, dense_sym_eig, mgs_orthonormalize
 from .pcg import jd_correction_solve
 from .results import SolverError, accept_candidate, solver_result, solver_setup
 from .sparse import spmv
@@ -151,7 +151,7 @@ def jd_smallest(a, neig, delta=1e-6, delta_pcg=1e-2, itmax_inner=20,
         if theta <= 0:
             # projected matrix contaminated by kernel leakage
             raise SolverError(f"pair {pair_idx}: nonpositive Ritz value {theta}")
-        res = float(np.linalg.norm(r))
+        res = _norm(r)
         if res < best_res * (1 - 1e-3):
             best_res = res
             since_best = 0

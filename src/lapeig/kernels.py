@@ -1,10 +1,10 @@
 """Small dense kernels shared by the sparse eigensolvers.
 
-Contains Gram-Schmidt against a DeflationBasis with conditional
-reorthogonalization and the dense symmetric eigensolver for projected
-matrices (LAPACK through numpy.linalg.eigh): JD's Rayleigh-Ritz step and
-DACG's 2x2 plane.  Its dimension is capped at DENSE_EIG_MAX_DIM, which
-bounds JD's search space and IRLM's basis.
+Contains _norm (every vector 2-norm in the package), Gram-Schmidt against a
+DeflationBasis with conditional reorthogonalization and the dense symmetric
+eigensolver for projected matrices (LAPACK through numpy.linalg.eigh): JD's
+Rayleigh-Ritz step and DACG's 2x2 plane.  Its dimension is capped at
+DENSE_EIG_MAX_DIM, which bounds JD's search space and IRLM's basis.
 """
 
 import math
@@ -21,7 +21,8 @@ class GramSchmidtBreakdown(RuntimeError):
 
 
 def _norm(v):
-    """np.linalg.norm(v) without its dispatch: sqrt(v.dot(v)), its bits on a 1-D float64 v."""
+    """np.linalg.norm(v) without its dispatch, its bits on any 1-D float64 v, views too."""
+    v = v.ravel(order="K")
     return math.sqrt(v.dot(v))
 
 
@@ -35,17 +36,14 @@ def mgs_orthonormalize(v, basis):
     falls below 1e-14 of the input norm.
     """
     v = np.asarray(v, dtype=np.float64)
-    norm_in = np.linalg.norm(v)
+    norm_in = norm_out = _norm(v)
     if norm_in == 0.0:
         raise GramSchmidtBreakdown("zero vector cannot be orthonormalized")
-    before = norm_in
     for _ in range(2 if basis.k else 0):
         v = basis.project_out(v)
-        after = np.linalg.norm(v)
-        if after >= _REORTH_FACTOR * before:
+        before, norm_out = norm_out, _norm(v)
+        if norm_out >= _REORTH_FACTOR * before:
             break
-        before = after
-    norm_out = np.linalg.norm(v)
     if norm_out < _BREAKDOWN_REL * norm_in:
         raise GramSchmidtBreakdown(
             f"vector collapsed to {norm_out:.3e} of its input norm {norm_in:.3e}"
@@ -53,11 +51,11 @@ def mgs_orthonormalize(v, basis):
     return v / norm_out, norm_out
 
 
-def dense_sym_eig(h, max_dim=DENSE_EIG_MAX_DIM):
+def dense_sym_eig(h):
     """All eigenpairs of a dense symmetric matrix, values ascending.
 
     Input must be symmetric to 1e-12 relative and no larger than
-    max_dim on a side.
+    DENSE_EIG_MAX_DIM on a side.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -65,8 +63,8 @@ def dense_sym_eig(h, max_dim=DENSE_EIG_MAX_DIM):
     n = h.shape[0]
     if n == 0:
         raise ValueError("empty matrix")
-    if n > max_dim:
-        raise ValueError(f"dimension {n} exceeds dense solver cap {max_dim}")
+    if n > DENSE_EIG_MAX_DIM:
+        raise ValueError(f"dimension {n} exceeds dense solver cap {DENSE_EIG_MAX_DIM}")
     if not (h == h.T).all():  # else 0.5 * (h + h.T) is h bit for bit, short of overflow
         scale = max(1.0, float(np.abs(h).max()))
         if float(np.abs(h - h.T).max()) > 1e-12 * scale:

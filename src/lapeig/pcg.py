@@ -184,7 +184,7 @@ def jd_correction_solve(a, theta, q, residual, f, tol, itmax, counter=None):
     out = pcg_solve(a, f, -residual, tol, itmax, deflation=q, counter=counter,
                     shift=theta)
     s = out.solution
-    if np.linalg.norm(s) == 0.0 and np.linalg.norm(residual) > 0.0:
+    if _norm(s) == 0.0 and _norm(residual) > 0.0:
         rhs = q.project_out(-residual)
         return q.project_out(f.apply(rhs)) if f is not None else rhs
     return s

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ic0 import ic0_factorize
-from .kernels import DENSE_EIG_MAX_DIM, GramSchmidtBreakdown, mgs_orthonormalize
+from .kernels import DENSE_EIG_MAX_DIM, GramSchmidtBreakdown, _norm, mgs_orthonormalize
 from .pcg import DeflationBasis, kernel_basis
 from .sparse import MvpCounter, spmv
 
@@ -162,7 +162,7 @@ def fresh_accept(a, u, delta, counter):
     """
     w = spmv(a, u, counter, "verify")
     theta = float(u @ w)
-    res = float(np.linalg.norm(w - theta * u))
+    res = _norm(w - theta * u)
     relres = res / theta if theta > 0 else np.inf
     return relres <= delta, theta, relres, w
 
@@ -220,6 +220,6 @@ def rayleigh_residuals(a, vectors, counter=None):
     thetas = np.zeros(vectors.shape[1])
     resids = np.zeros(vectors.shape[1])
     for k, u in enumerate(vectors.T):
-        u = u / np.linalg.norm(u)
+        u = u / _norm(u)
         _, thetas[k], resids[k], _ = fresh_accept(a, u, np.inf, counter)
     return thetas, resids

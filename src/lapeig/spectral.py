@@ -12,6 +12,7 @@ import numpy as np
 
 from .bench import SOLVERS
 from .graphs import csr_connected_components
+from .kernels import _norm
 from .results import EigenPairSet
 from .sparse import spmv
 
@@ -97,12 +98,12 @@ def estimate_lambda_max(a, iters=20, *, seed=0, counter=None):
     """Largest eigenvalue estimate by a short power iteration."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(a.n)
-    x /= np.linalg.norm(x)
+    x /= _norm(x)
     theta = 0.0
     for _ in range(int(iters)):
         y = spmv(a, x, counter)
         theta = float(x @ y)
-        nrm = float(np.linalg.norm(y))
+        nrm = _norm(y)
         if nrm == 0.0:
             return 0.0
         x = y / nrm

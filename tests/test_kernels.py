@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from lapeig import kernels
 from lapeig.kernels import GramSchmidtBreakdown, _norm, dense_sym_eig, mgs_orthonormalize
 from lapeig.pcg import DeflationBasis
 
@@ -38,6 +39,31 @@ class TestMgs:
         v = basis[:, 0] + 1e-9 * stray / np.linalg.norm(stray)
         u, _ = mgs_orthonormalize(v, DeflationBasis(basis))
         assert np.abs(basis.T @ u).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_zero_vector_breaks_down(self, rng, k):
+        basis = DeflationBasis(np.linalg.qr(rng.standard_normal((10, 3)))[0][:, :k])
+        with pytest.raises(GramSchmidtBreakdown, match="zero vector"):
+            mgs_orthonormalize(np.zeros(10), basis)
+
+    def test_one_norm_per_sweep_besides_the_inputs(self, rng, monkeypatch):
+        # the last sweep's norm is the output norm, not formed again
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return _norm(v)
+
+        monkeypatch.setattr(kernels, "_norm", counted)
+        q = np.linalg.qr(rng.standard_normal((50, 4)))[0]
+        stray = rng.standard_normal(50)
+        # no basis takes no sweep, a random vector one, one 1e-3 off the span two
+        for cols, v, sweeps in ((0, rng.standard_normal(50), 0),
+                                (4, rng.standard_normal(50), 1),
+                                (4, q[:, 0] + 1e-3 * stray / np.linalg.norm(stray), 2)):
+            calls.clear()
+            mgs_orthonormalize(v, DeflationBasis(q[:, :cols]))
+            assert len(calls) == 1 + sweeps
 
     def test_empty_basis_normalizes(self):
         empty = DeflationBasis(np.zeros((2, 0)))
@@ -125,6 +151,18 @@ class TestDenseSymEig:
         assert vals.tobytes() == want_vals.tobytes()
         assert vecs.tobytes() == want_vecs.tobytes()
 
+    @pytest.mark.parametrize("n", [2, 7, 40])
+    def test_nearly_symmetric_input_is_symmetrized(self, rng, n):
+        # an asymmetry within 1e-12 relative is averaged away, not refused
+        m = rng.standard_normal((n, n))
+        h = m + m.T
+        h[0, 1] *= 1.0 + 1e-14
+        assert not (h == h.T).all()
+        vals, vecs = dense_sym_eig(h)
+        want_vals, want_vecs = np.linalg.eigh(0.5 * (h + h.T))
+        assert vals.tobytes() == want_vals.tobytes()
+        assert vecs.tobytes() == want_vecs.tobytes()
+
     def test_still_refuses_input_off_by_1e9(self):
         h = np.array([[2.0, 1.0], [1.0 + 1e-9, 2.0]])
         with pytest.raises(ValueError, match="not symmetric"):
@@ -137,10 +175,12 @@ class TestDenseSymEig:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 3001, 20000])
 def test_norm_is_bitwise_numpys(rng, n):
-    # the solvers' per-iteration norms rely on this: for a contiguous 1-D
-    # float64 vector, np.linalg.norm computes sqrt(v.dot(v))
+    # every vector norm in the solvers relies on this: for a 1-D float64
+    # vector, np.linalg.norm computes sqrt(v.dot(v)) on v raveled in memory
+    # order, so a strided view is summed as its contiguous copy would be
     for scale in (1e-140, 1.0, 1e140):
-        v = rng.standard_normal(n) * scale
-        assert np.float64(_norm(v)).tobytes() == np.float64(np.linalg.norm(v)).tobytes()
+        m = rng.standard_normal((n, 3)) * scale
+        for v in (m[:, 0].copy(), m[:, 1], np.asfortranarray(m)[:, 1], m[::-1, 2]):
+            assert np.float64(_norm(v)).tobytes() == np.float64(np.linalg.norm(v)).tobytes()
     for v in (np.zeros(n), np.full(n, -0.0)):
         assert np.float64(_norm(v)).tobytes() == np.float64(np.linalg.norm(v)).tobytes()

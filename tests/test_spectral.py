@@ -146,6 +146,10 @@ class TestLambdaMax:
         assert est <= true_max + 1e-12
         assert est >= 0.5 * true_max
 
+    def test_edgeless_graph_gives_zero(self):
+        a = build_laplacian(EdgeList(5, [], [], []))
+        assert estimate_lambda_max(a) == 0.0
+
     def test_counter_charges_iterations(self):
         from lapeig.sparse import MvpCounter
 
